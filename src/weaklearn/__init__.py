@@ -7,6 +7,6 @@ partition-function bound checks, and word-embedding style evaluations.
 
 __version__ = "0.1.0"
 
-TENSOR_FORMAT = "WLTENS1"
-CHECKPOINT_FORMAT = "WLCKPT1"
-DICT_FORMAT = "weaklearn-dict v1"
+from .data import TENSOR_FORMAT
+from .model import CHECKPOINT_FORMAT
+from .textpipe import DICT_FORMAT

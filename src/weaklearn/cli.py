@@ -21,6 +21,7 @@ from .data import (
     SynthConfig,
     generate_synthetic,
     load_dataset,
+    read_captions_jsonl,
     write_captions_jsonl,
     write_tensor_container,
 )
@@ -146,13 +147,7 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_build_dict(args) -> int:
-    rows = []
-    with open(args.captions, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    docs = (normalize_text(row.get("caption", "")) for row in rows)
+    docs = (normalize_text(row["caption"]) for row in read_captions_jsonl(args.captions))
     dictionary = build_dictionary(docs, k=args.k, stop_count=args.stop_count)
     save_dictionary(dictionary, args.out)
     print(json.dumps({"k": dictionary.k, "stop_count": dictionary.stop_count, "out": args.out}, sort_keys=True))
@@ -170,7 +165,6 @@ _TRAIN_KEYS = {
     "seed": int,
     "validation_fraction": float,
     "full_softmax": bool,
-    "workers": int,
 }
 
 
@@ -187,7 +181,6 @@ def _cmd_train(args) -> int:
         "loss_kind": args.loss_kind,
         "seed": args.seed,
         "validation_fraction": args.validation_fraction,
-        "workers": args.workers,
     }
     for key, value in overrides.items():
         if value is not None:
@@ -381,7 +374,6 @@ def build_parser() -> _Parser:
     p.add_argument("--loss-kind", choices=["multiclass", "one_vs_all"])
     p.add_argument("--validation-fraction", type=float)
     p.add_argument("--full-softmax", action="store_true")
-    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("check-bounds", help="Monte-Carlo check of the partition bounds")

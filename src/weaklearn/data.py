@@ -16,7 +16,8 @@ import numpy as np
 
 from .textpipe import Dictionary, build_dictionary, encode_targets, normalize_text
 
-TENSOR_MAGIC = b"WLTENS1\n"
+TENSOR_FORMAT = "WLTENS1"
+TENSOR_MAGIC = f"{TENSOR_FORMAT}\n".encode("ascii")
 _TENSOR_HEADER = re.compile(r"^n=(\d+) h=(\d+) w=(\d+) c=(\d+) dtype=f32$")
 
 STD_FLOOR = 1e-8  # below this the divisor is 1, so constant images stay finite
@@ -295,9 +296,9 @@ def read_captions_jsonl(path: str) -> list[dict]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError:
-                raise MalformedHeaderError(f"malformed caption line {lineno}") from None
-            if not all(key in row for key in ("id", "caption", "image")):
-                raise MalformedHeaderError(f"caption line {lineno} missing fields")
+                raise MalformedHeaderError(f"{path}: line {lineno}: malformed caption line") from None
+            if not isinstance(row, dict) or not all(key in row for key in ("id", "caption", "image")):
+                raise MalformedHeaderError(f"{path}: line {lineno}: caption line missing fields")
             rows.append(row)
     return rows
 

@@ -69,14 +69,12 @@ class ProbeModel:
     lam: float  # selected regularization strength
 
 
-def _score_batches(params: ModelParams, dataset: list[Example], chunk: int = 512) -> np.ndarray:
-    classes = np.arange(params.k, dtype=np.int64)
-    out = []
+def _embed_chunks(params: ModelParams, dataset: list[Example], chunk: int = 512):
+    """Yield (examples, embeddings) for consecutive chunks of the dataset."""
     for start in range(0, len(dataset), chunk):
-        images = np.stack([ex.image for ex in dataset[start : start + chunk]])
-        e, _ = forward(params, images)
-        out.append(score_subset(params, e, classes))
-    return np.concatenate(out, axis=0)
+        rows = dataset[start : start + chunk]
+        e, _ = forward(params, np.stack([ex.image for ex in rows]))
+        yield rows, e
 
 
 def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -85,18 +83,60 @@ def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
+def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Position of scores[i, labels[i]] in row i under the _top_k_indices order.
+
+    rank = #{j : s_j > s_l} + #{j < l : s_j == s_l}; a NaN score ranks after
+    every non-NaN one and after the NaNs at smaller indices, as in the
+    stable argsort of -scores. One comparison pass per row, no sort.
+    """
+    value = scores[np.arange(len(labels)), labels][:, None]
+    before = np.arange(scores.shape[1]) < labels[:, None]
+    ranks = np.count_nonzero(scores > value, axis=1)
+    ranks += np.count_nonzero((scores == value) & before, axis=1)
+    nan = np.isnan(value[:, 0])
+    if nan.any():
+        isnan = np.isnan(scores[nan])
+        ranks[nan] = np.count_nonzero(~isnan, axis=1) + np.count_nonzero(isnan & before[nan], axis=1)
+    return ranks
+
+
+def _top_k_hits(scores: np.ndarray, labels: list[np.ndarray], k: int) -> np.ndarray:
+    """Per row, how many of its labels fall in the row's top k."""
+    n_rows, n_classes = scores.shape
+    flat = np.concatenate(labels).astype(np.int64)
+    if flat.size and (flat.min() < 0 or flat.max() >= n_classes):
+        raise ValueError(f"label outside the {n_classes} scored classes")
+    rows = np.repeat(np.arange(n_rows), [len(l) for l in labels])
+    # unique (row, label) pairs, sorted by row; slot = position within the row
+    rows, flat = np.divmod(np.unique(rows * n_classes + flat), n_classes)
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    hits = np.zeros(n_rows, dtype=np.int64)
+    for s in range(int(slot.max(initial=-1)) + 1):
+        in_slot = slot == s
+        r = rows[in_slot]
+        hits[r] += _label_ranks(scores if r.size == n_rows else scores[r], flat[in_slot]) < k
+    return hits
+
+
 def precision_at_k(params: ModelParams, dataset: list[Example], k: int) -> EvalReport:
-    """Mean over examples of |top-k predictions ∩ labels| / k."""
+    """Mean over examples of |top-k predictions ∩ labels| / k.
+
+    Top k is the _top_k_indices order, but no row is sorted: each label's
+    rank is counted in one pass over its row (O(n * labels * K) comparisons),
+    and rows are scored and ranked 512 at a time, so memory is bounded by
+    512 x K scores. Per-row values are summed in dataset order.
+    """
     if k < 1:
         raise ValueError("k must be positive")
     if not dataset:
         raise ValueError("empty dataset")
-    scores = _score_batches(params, dataset)
-    top = _top_k_indices(scores, k)
+    classes = np.arange(params.k, dtype=np.int64)
     total = 0.0
-    for i, ex in enumerate(dataset):
-        labels = set(int(l) for l in ex.labels)
-        total += sum(1 for c in top[i] if int(c) in labels) / k
+    for rows, e in _embed_chunks(params, dataset):
+        scores = score_subset(params, e, classes)
+        for hits in _top_k_hits(scores, [ex.labels for ex in rows], k).tolist():
+            total += hits / k
     return EvalReport(
         metric="precision_at_k",
         value=total / len(dataset),
@@ -108,12 +148,7 @@ def precision_at_k(params: ModelParams, dataset: list[Example], k: int) -> EvalR
 
 def extract_features(params: ModelParams, dataset: list[Example], chunk: int = 512) -> np.ndarray:
     """Penultimate representation f(x; theta) per example, shape (n, E)."""
-    out = []
-    for start in range(0, len(dataset), chunk):
-        images = np.stack([ex.image for ex in dataset[start : start + chunk]])
-        e, _ = forward(params, images)
-        out.append(e)
-    return np.concatenate(out, axis=0)
+    return np.concatenate([e for _, e in _embed_chunks(params, dataset, chunk)], axis=0)
 
 
 def _fit_multinomial(x: np.ndarray, labels: np.ndarray, n_classes: int, lam: float):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CHECKPOINT_MAGIC = b"WLCKPT1\n"
+CHECKPOINT_FORMAT = "WLCKPT1"
+CHECKPOINT_MAGIC = f"{CHECKPOINT_FORMAT}\n".encode("ascii")
 _ARRAY_LINE = re.compile(r"^array=(\S+) shape=([0-9,]*) dtype=(f32|f64)$")
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -334,7 +335,7 @@ def save_checkpoint(
     """Write the WLCKPT1 checkpoint atomically (temp file, then rename)."""
     cfg = params.config
     lines = [
-        CHECKPOINT_MAGIC.decode("ascii").rstrip("\n"),
+        CHECKPOINT_FORMAT,
         f"config={cfg.to_json()}",
         f"k={params.k}",
         f"dtype={cfg.dtype}",

@@ -17,13 +17,8 @@ RNG_ALGO = "numpy-pcg64"
 
 
 def make_rng(seed) -> np.random.Generator:
-    """Seedable, splittable generator behind the RNG_ALGO identifier."""
+    """Seedable generator behind the RNG_ALGO identifier."""
     return np.random.Generator(np.random.PCG64(seed))
-
-
-def split_rng(seed, n: int) -> list[np.random.Generator]:
-    """n independent child streams of the given seed, in spawn order."""
-    return [make_rng(child) for child in np.random.SeedSequence(seed).spawn(n)]
 
 
 @dataclass

@@ -22,7 +22,7 @@ _SPLITTERS = re.compile(r"[-/_]")
 _DROPPED = re.compile(r"[^a-z\s]")
 
 DICT_FORMAT = "weaklearn-dict v1"
-_DICT_HEADER = re.compile(r"^#weaklearn-dict v1 K=(\d+) stop=(\d+)$")
+_DICT_HEADER = re.compile(rf"^#{re.escape(DICT_FORMAT)} K=(\d+) stop=(\d+)$")
 
 
 def normalize_text(text: str) -> list[str]:
@@ -123,7 +123,7 @@ def encode_targets(tokens: list[str], dictionary: Dictionary) -> np.ndarray:
 def save_dictionary(dictionary: Dictionary, path: str) -> None:
     """Write the versioned tab-separated dictionary file."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#weaklearn-dict v1 K={dictionary.k} stop={dictionary.stop_count}\n")
+        fh.write(f"#{DICT_FORMAT} K={dictionary.k} stop={dictionary.stop_count}\n")
         for word, count in zip(dictionary.words, dictionary.counts):
             fh.write(f"{word}\t{int(count)}\n")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +46,6 @@ class TrainConfig:
     seed: int = 0
     validation_fraction: float = 0.2
     full_softmax: bool = False  # score every class instead of batch-present ones
-    workers: int = 1
 
     def __post_init__(self):
         if self.lr_init <= 0 or self.lr_floor <= 0:
@@ -58,8 +56,8 @@ class TrainConfig:
             raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
         if not 0 < self.validation_fraction < 1:
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.min_epochs_per_lr < 1 or self.workers < 1:
-            raise ValueError("min_epochs_per_lr and workers must be positive")
+        if self.min_epochs_per_lr < 1:
+            raise ValueError("min_epochs_per_lr must be positive")
         if self.full_softmax and self.loss_kind != "multiclass":
             raise ValueError("full softmax requires the multiclass loss")
 
@@ -88,69 +86,22 @@ def split_dataset(
     return train, val
 
 
-def _chunk_grads(params: ModelParams, images, targets, classes, cfg: TrainConfig, n_pos, batch_total):
-    """Loss and gradients for one sub-batch; scaling is fixed by the caller."""
-    e, trace = forward(params, images)
-    logits = score_subset(params, e, classes)
-    if cfg.loss_kind == "multiclass":
-        positions = np.searchsorted(classes, targets)
-        lg = sampled_multiclass_loss(logits, positions)
-    else:
-        y = (classes[None, :] == targets[:, None]).astype(logits.dtype)
-        lg = ova_loss(logits, y, batch_total, n_pos)
-    d_e, d_w_cols = score_subset_backward(params, e, classes, lg.d_logits)
-    theta = backward(params, trace, d_e)
-    return lg.loss, theta, d_w_cols
-
-
-def _batch_grads(params: ModelParams, batch: Batch, cfg: TrainConfig, k: int, pool):
-    """Gradients for a full batch, optionally via parallel sub-batches.
-
-    Sub-batch results are combined in ordinal order so any fixed worker
-    count is deterministic; changing the count may change rounding.
-    """
+def _batch_grads(params: ModelParams, batch: Batch, cfg: TrainConfig, k: int):
+    """Loss, gradients and scored classes for one batch."""
     if cfg.full_softmax:
         classes = np.arange(k, dtype=np.int64)
     else:
         classes = batch.present_classes
-    batch_total = len(batch.targets)
-    if cfg.loss_kind == "one_vs_all":
-        n_pos = (classes[None, :] == batch.targets[:, None]).sum(axis=0)
+    e, trace = forward(params, batch.images)
+    logits = score_subset(params, e, classes)
+    if cfg.loss_kind == "multiclass":
+        lg = sampled_multiclass_loss(logits, np.searchsorted(classes, batch.targets))
     else:
-        n_pos = None
-
-    if pool is None or cfg.workers == 1:
-        loss, theta, w_cols = _chunk_grads(
-            params, batch.images, batch.targets, classes, cfg, n_pos, batch_total
-        )
-        return loss, StepGrads(theta=theta, w_cols=w_cols), classes
-
-    bounds = np.array_split(np.arange(batch_total), cfg.workers)
-    chunks = [b for b in bounds if b.size]
-    jobs = [
-        pool.submit(
-            _chunk_grads, params, batch.images[rows], batch.targets[rows], classes, cfg, n_pos, batch_total
-        )
-        for rows in chunks
-    ]
-    results = [job.result() for job in jobs]
-
-    loss_total = 0.0
-    theta_total = None
-    w_cols_total = None
-    for rows, (loss_i, theta_i, w_i) in zip(chunks, results):
-        scale = rows.size / batch_total if cfg.loss_kind == "multiclass" else 1.0
-        loss_total += loss_i * scale
-        if theta_total is None:
-            theta_total = [(dw * scale, db * scale) for dw, db in theta_i]
-            w_cols_total = w_i * scale
-        else:
-            theta_total = [
-                (acc_w + dw * scale, acc_b + db * scale)
-                for (acc_w, acc_b), (dw, db) in zip(theta_total, theta_i)
-            ]
-            w_cols_total += w_i * scale
-    return loss_total, StepGrads(theta=theta_total, w_cols=w_cols_total), classes
+        positive = classes[None, :] == batch.targets[:, None]
+        lg = ova_loss(logits, positive.astype(logits.dtype), len(batch.targets), positive.sum(axis=0))
+    d_e, d_w_cols = score_subset_backward(params, e, classes, lg.d_logits)
+    theta = backward(params, trace, d_e)
+    return lg.loss, StepGrads(theta=theta, w_cols=d_w_cols), classes
 
 
 def sgd_step(params: ModelParams, grads: StepGrads, present_classes: np.ndarray, lr: float) -> ModelParams:
@@ -183,11 +134,13 @@ def train(
     k: int | None = None,
     checkpoint_path: str | None = None,
 ) -> tuple[ModelParams, TrainLog]:
-    """Run the SGD loop; deterministic given cfg.seed and cfg.workers.
+    """Run the SGD loop; deterministic given cfg.seed.
 
     k defaults to 1 + the largest label in the dataset. When
     checkpoint_path is given the final state is saved there and recorded
-    in the returned TrainLog.
+    in the returned TrainLog. A non-finite step loss, or a non-finite
+    parameter at the end of an epoch, raises FloatingPointError naming the
+    epoch and step, and no checkpoint is written.
     """
     if k is None:
         k = 1 + max(int(ex.labels.max()) for ex in dataset)
@@ -201,39 +154,44 @@ def train(
     if lr >= cfg.lr_floor and cfg.max_epochs > 0:
         index = build_index(train_set, num_classes=k)
         steps_per_epoch = math.ceil(cfg.epoch_size / cfg.batch_size)
-        pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-        try:
-            prev_val = None
-            epochs_at_lr = 0
-            for epoch in range(1, cfg.max_epochs + 1):
-                tick = time.perf_counter()
-                loss_sum = 0.0
-                for _ in range(steps_per_epoch):
-                    batch = next_batch(index, cfg.batch_size, gen, train_set)
-                    loss_val, grads, classes = _batch_grads(params, batch, cfg, k, pool)
-                    sgd_step(params, grads, classes, lr)
-                    loss_sum += loss_val
-                    step_count += 1
-                val_err = validation_error(params, val_set)
-                epochs_at_lr += 1
-                log.records.append(
-                    {
-                        "epoch": epoch,
-                        "lr": lr,
-                        "train_loss_mean": loss_sum / steps_per_epoch,
-                        "val_error": val_err,
-                        "wall_ms": (time.perf_counter() - tick) * 1000.0,
-                    }
+        prev_val = None
+        epochs_at_lr = 0
+        for epoch in range(1, cfg.max_epochs + 1):
+            tick = time.perf_counter()
+            loss_sum = 0.0
+            for step in range(1, steps_per_epoch + 1):
+                batch = next_batch(index, cfg.batch_size, gen, train_set)
+                loss_val, grads, classes = _batch_grads(params, batch, cfg, k)
+                if not math.isfinite(loss_val):
+                    raise FloatingPointError(
+                        f"non-finite training loss at epoch {epoch}, step {step} of {steps_per_epoch}"
+                    )
+                sgd_step(params, grads, classes, lr)
+                loss_sum += loss_val
+            step_count += steps_per_epoch
+            bad = [name for name, arr in param_arrays(params) if not np.isfinite(arr).all()]
+            if bad:
+                raise FloatingPointError(
+                    f"non-finite parameters {bad} at the end of epoch {epoch}, "
+                    f"step {steps_per_epoch} of {steps_per_epoch}"
                 )
-                if prev_val is not None and val_err > prev_val and epochs_at_lr >= cfg.min_epochs_per_lr:
-                    lr /= 2.0
-                    epochs_at_lr = 0
-                prev_val = val_err
-                if lr < cfg.lr_floor:
-                    break
-        finally:
-            if pool is not None:
-                pool.shutdown()
+            val_err = validation_error(params, val_set)
+            epochs_at_lr += 1
+            log.records.append(
+                {
+                    "epoch": epoch,
+                    "lr": lr,
+                    "train_loss_mean": loss_sum / steps_per_epoch,
+                    "val_error": val_err,
+                    "wall_ms": (time.perf_counter() - tick) * 1000.0,
+                }
+            )
+            if prev_val is not None and val_err > prev_val and epochs_at_lr >= cfg.min_epochs_per_lr:
+                lr /= 2.0
+                epochs_at_lr = 0
+            prev_val = val_err
+            if lr < cfg.lr_floor:
+                break
     if checkpoint_path is not None:
         save_checkpoint(
             checkpoint_path,

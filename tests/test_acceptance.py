@@ -199,7 +199,7 @@ def test_criterion_06_sparse_updates_match_dense_oracle():
     seen = set()
     for _ in range(100):
         batch = next_batch(index, cfg.batch_size, batch_rng, dataset)
-        _, grads, classes = _batch_grads(params, batch, cfg, k, None)
+        _, grads, classes = _batch_grads(params, batch, cfg, k)
         seen.update(int(c) for c in classes)
         dense = np.zeros_like(shadow)
         dense[:, classes] = grads.w_cols

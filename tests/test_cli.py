@@ -213,3 +213,23 @@ def test_gen_synth_outputs(data_dir):
     with open(data_dir / "captions.jsonl") as fh:
         first = json.loads(fh.readline())
     assert set(first) == {"id", "caption", "image"}
+
+
+def test_build_dict_bad_caption_line_exits_two(capsys, tmp_path):
+    captions = tmp_path / "captions.jsonl"
+    captions.write_text('{"id": "a", "caption": "red fox", "image": "a"}\nnot json\n', encoding="utf-8")
+    code, _, err = run(capsys, ["build-dict", "--captions", str(captions),
+                                "--out", str(tmp_path / "dict.tsv")])
+    assert code == 2
+    assert str(captions) in err and "line 2" in err
+    assert not (tmp_path / "dict.tsv").exists()
+
+
+def test_train_stops_on_non_finite_loss(capsys, data_dir, tmp_path):
+    with np.errstate(all="ignore"):
+        code, _, err = run(capsys, train_args(data_dir, tmp_path, ["--lr-init", "10"]))
+    assert code == 2
+    assert "non-finite training loss at epoch 1, step" in err
+    assert not (tmp_path / "checkpoint.wlckpt").exists()
+    assert not (tmp_path / "trainlog.jsonl").exists()
+

@@ -1,5 +1,7 @@
 """Image preprocessing, the synthetic generator, and the tensor container."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -261,6 +263,9 @@ def test_captions_reject_malformed_lines(tmp_path):
         read_captions_jsonl(str(path))
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(MalformedHeaderError, match="malformed caption line"):
+        read_captions_jsonl(str(path))
+    path.write_text('{"id": "a", "caption": "x", "image": "a"}\n\n[1, 2]\n', encoding="utf-8")
+    with pytest.raises(MalformedHeaderError, match=f"^{re.escape(str(path))}: line 3: "):
         read_captions_jsonl(str(path))
 
 

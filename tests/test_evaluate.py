@@ -7,8 +7,11 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from util import score_examples, scorer_params
+from weaklearn import evaluate
 from weaklearn.evaluate import (
     AnalogyQuestion,
     SimilarityPair,
@@ -77,6 +80,35 @@ def test_precision_at_k_validation():
         precision_at_k(params, dataset, k=0)
     with pytest.raises(ValueError, match="empty dataset"):
         precision_at_k(params, [], k=1)
+    with pytest.raises(ValueError, match="outside the 4 scored classes"):
+        precision_at_k(params, score_examples(np.ones((1, 4)), [[1, 4]]), k=1)
+
+
+# Scores drawn from few values, so ties are common, including -0.0 == 0.0.
+_TIE_VALUES = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan], dtype=np.float32)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_classes=st.integers(2, 12))
+def test_precision_at_k_equals_stable_argsort_oracle(seed, n_classes):
+    """Raw scores (NaN, +-inf, -0.0, heavy ties) across 512-row chunk boundaries."""
+    rng = np.random.default_rng(seed)
+    n = 1025
+    scores = rng.choice(_TIE_VALUES, size=(n, n_classes))
+    labels = [rng.choice(n_classes, size=rng.integers(1, n_classes + 1), replace=False) for _ in range(n)]
+    dataset = score_examples(np.zeros((n, n_classes)), labels)
+    for ex, row in zip(dataset, scores):
+        ex.image = row.reshape(1, 1, -1)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    with pytest.MonkeyPatch.context() as mp:
+        # score rows are the images themselves, unclipped by any layer
+        mp.setattr(evaluate, "forward", lambda params, images: (images.reshape(len(images), -1), None))
+        mp.setattr(evaluate, "score_subset", lambda params, e, classes: e[:, classes])
+        for k in (1, n_classes - 1, n_classes, n_classes + 3):
+            expected = 0.0
+            for i in range(n):
+                expected += len(set(order[i, :k].tolist()) & set(labels[i].tolist())) / k
+            assert precision_at_k(scorer_params(n_classes), dataset, k=k).value == expected / n
 
 
 def test_extract_features_matches_forward_per_example():

@@ -11,7 +11,6 @@ from weaklearn.sampler import (
     build_index,
     make_rng,
     next_batch,
-    split_rng,
 )
 
 
@@ -133,6 +132,3 @@ def test_rng_helpers():
     assert RNG_ALGO == "numpy-pcg64"
     a, b = make_rng(7), make_rng(7)
     assert a.integers(0, 1 << 30, size=5).tolist() == b.integers(0, 1 << 30, size=5).tolist()
-    streams = split_rng(7, 3)
-    draws = [g.integers(0, 1 << 30, size=4).tolist() for g in streams]
-    assert draws[0] != draws[1] and draws[1] != draws[2]
