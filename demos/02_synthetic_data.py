@@ -42,8 +42,9 @@ print("any precision number on this data means.")
 
 # the on-disk form round-trips exactly
 with tempfile.TemporaryDirectory() as tmp:
-    write_captions_jsonl(f"{tmp}/captions.jsonl", examples,
-                         [" ".join(dictionary.words[l] for l in ex.labels) for ex in examples])
+    rows = [{"id": ex.id, "caption": " ".join(dictionary.words[l] for l in ex.labels),
+             "image": ex.id} for ex in examples]
+    write_captions_jsonl(f"{tmp}/captions.jsonl", rows)
     write_tensor_container(f"{tmp}/tensors.bin", {ex.id: ex.image for ex in examples})
     save_dictionary(dictionary, f"{tmp}/dict.tsv")
     reloaded, dropped = load_dataset(f"{tmp}/captions.jsonl", f"{tmp}/tensors.bin", dictionary)

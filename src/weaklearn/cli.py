@@ -154,39 +154,17 @@ def _cmd_build_dict(args) -> int:
     return 0
 
 
-_TRAIN_KEYS = {
-    "batch_size": int,
-    "lr_init": float,
-    "lr_floor": float,
-    "min_epochs_per_lr": int,
-    "epoch_size": int,
-    "max_epochs": int,
-    "loss_kind": str,
-    "seed": int,
-    "validation_fraction": float,
-    "full_softmax": bool,
-}
+# every TrainConfig field has a default, whose type converts config-file values
+_TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
 
 
 def _cmd_train(args) -> int:
     file_cfg = load_config_file(args.config) if args.config else {}
     train_section = dict(file_cfg.get("train", {}))
     model_section = dict(file_cfg.get("model", {}))
-
-    overrides = {
-        "batch_size": args.batch_size,
-        "lr_init": args.lr_init,
-        "epoch_size": args.epoch_size,
-        "max_epochs": args.max_epochs,
-        "loss_kind": args.loss_kind,
-        "seed": args.seed,
-        "validation_fraction": args.validation_fraction,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            train_section[key] = value
-    if args.full_softmax:
-        train_section["full_softmax"] = True
+    for key in _TRAIN_KEYS:
+        if getattr(args, key, None) is not None:
+            train_section[key] = getattr(args, key)
     unknown = set(train_section) - set(_TRAIN_KEYS)
     if unknown:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
@@ -200,29 +178,19 @@ def _cmd_train(args) -> int:
             raise FileNotFoundError(f"data file not found: {path}")
     dictionary = load_dictionary(dict_path)
     dataset, dropped = load_dataset(captions_path, tensors_path, dictionary)
-    if dropped:
-        print(f"dropped {dropped} empty-label examples", file=sys.stderr)
     if not dataset:
         raise ValueError("no usable examples")
 
-    input_hwc = dataset[0].image.shape
     model_cfg = ModelConfig(
-        input_hwc=input_hwc,
+        input_hwc=dataset[0].image.shape,
         layers=parse_layers(model_section.get("layers", "fc:64,fc:64")),
         embed_dim=int(model_section.get("embed_dim", 64)),
         dtype=str(model_section.get("dtype", "f32")),
     )
-
-    merged = {
-        "train": dataclasses.asdict(cfg),
-        "model": {
-            "input_hwc": list(model_cfg.input_hwc),
-            "layers": [list(layer) for layer in model_cfg.layers],
-            "embed_dim": model_cfg.embed_dim,
-            "dtype": model_cfg.dtype,
-        },
-    }
+    merged = {"train": dataclasses.asdict(cfg), "model": json.loads(model_cfg.to_json())}
     print("config " + json.dumps(merged, sort_keys=True), file=sys.stderr)
+    if dropped:
+        print(f"dropped {dropped} empty-label examples", file=sys.stderr)
 
     os.makedirs(args.out_dir, exist_ok=True)
     ckpt_path = os.path.join(args.out_dir, "checkpoint.wlckpt")
@@ -294,7 +262,7 @@ def _read_token_lines(path: str, n_tokens: int) -> list[list[str]]:
                 continue
             parts = line.split()
             if len(parts) != n_tokens:
-                raise ValueError(f"line {lineno}: expected {n_tokens} fields, got {len(parts)}")
+                raise ValueError(f"{path}: line {lineno}: expected {n_tokens} fields, got {len(parts)}")
             out.append(parts)
     return out
 
@@ -373,7 +341,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lr-init", type=float)
     p.add_argument("--loss-kind", choices=["multiclass", "one_vs_all"])
     p.add_argument("--validation-fraction", type=float)
-    p.add_argument("--full-softmax", action="store_true")
+    p.add_argument("--full-softmax", action="store_const", const=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("check-bounds", help="Monte-Carlo check of the partition bounds")
@@ -439,7 +407,8 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return 1
-    _log_resolved(args)
+    if args.func is not _cmd_train:  # train logs its merged config once it is resolved
+        _log_resolved(args)
     try:
         return args.func(args)
     except Exception as exc:  # runtime failures map to exit 2 by contract

@@ -85,52 +85,6 @@ def standardize_image(pixels: np.ndarray) -> np.ndarray:
     return ((x - x.mean()) / std).astype(np.float32)
 
 
-def resize_bilinear(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel-centered sampling; identity when sizes match."""
-    h, w = image.shape[0], image.shape[1]
-    x = np.asarray(image, dtype=np.float64)
-
-    def axis_coords(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        src = np.clip(src, 0.0, n_in - 1.0)
-        lo = np.floor(src).astype(np.int64)
-        hi = np.minimum(lo + 1, n_in - 1)
-        frac = src - lo
-        return lo, hi, frac
-
-    r0, r1, rf = axis_coords(h, out_h)
-    c0, c1, cf = axis_coords(w, out_w)
-    rf = rf[:, None, None]
-    cf = cf[None, :, None]
-    top = x[r0][:, c0] * (1 - cf) + x[r0][:, c1] * cf
-    bot = x[r1][:, c0] * (1 - cf) + x[r1][:, c1] * cf
-    return top * (1 - rf) + bot * rf
-
-
-def preprocess_image(raw: np.ndarray, crop: int) -> np.ndarray:
-    """Rescale the short side to crop*(256/224) rounded, center-crop, standardize."""
-    if crop < 1:
-        raise ValueError("crop must be positive")
-    raw = np.asarray(raw)
-    if raw.size == 0 or raw.ndim != 3:
-        raise ValueError("empty image")
-    h, w = raw.shape[0], raw.shape[1]
-    target_short = int(round(crop * 256 / 224))
-    if h <= w:
-        out_h = target_short
-        out_w = int(round(w * target_short / h))
-    else:
-        out_w = target_short
-        out_h = int(round(h * target_short / w))
-    if out_h < crop or out_w < crop:
-        raise ValueError("image smaller than crop after rescale")
-    resized = resize_bilinear(raw, out_h, out_w)
-    top = (out_h - crop) // 2
-    left = (out_w - crop) // 2
-    cropped = resized[top : top + crop, left : left + crop, :]
-    return standardize_image(cropped)
-
-
 def class_word(i: int, k: int) -> str:
     """Letters-only synthetic word for class i; lexicographic order == class order."""
     width = 1
@@ -246,44 +200,42 @@ def read_tensor_container(path: str) -> tuple[np.ndarray, dict[str, int]]:
     with open(path, "rb") as fh:
         magic = fh.read(len(TENSOR_MAGIC))
         if magic != TENSOR_MAGIC:
-            raise MalformedHeaderError("malformed header")
+            raise MalformedHeaderError(f"{path}: line 1: malformed header")
         header = fh.readline().decode("ascii", errors="replace").rstrip("\n")
         m = _TENSOR_HEADER.match(header)
         if m is None:
-            raise MalformedHeaderError("malformed header")
+            raise MalformedHeaderError(f"{path}: line 2: malformed header")
         n, h, w, c = (int(g) for g in m.groups())
         payload = fh.read(n * h * w * c * 4)
         if len(payload) != n * h * w * c * 4:
-            raise DimensionMismatchError("dimension mismatch")
+            raise DimensionMismatchError(f"{path}: dimension mismatch: payload shorter than n*h*w*c")
         images = np.frombuffer(payload, dtype="<f4").reshape(n, h, w, c).copy()
-        index = {}
-        for line in fh.read().decode("utf-8").splitlines():
+        index: dict[str, int] = {}
+        ordinals: set[int] = set()
+        for lineno, line in enumerate(fh.read().decode("utf-8").splitlines(), 1):
             if not line:
                 continue
             try:
                 ex_id, ordinal = line.split("\t")
-                index[ex_id] = int(ordinal)
+                ordinal = int(ordinal)
             except ValueError:
-                raise MalformedHeaderError("malformed index line") from None
-    if len(index) != n or sorted(index.values()) != list(range(n)):
-        raise DimensionMismatchError("dimension mismatch")
+                raise MalformedHeaderError(f"{path}: index line {lineno}: malformed index line") from None
+            if ex_id in index or ordinal in ordinals or not 0 <= ordinal < n:
+                raise DimensionMismatchError(
+                    f"{path}: index line {lineno}: repeated or out-of-range entry {line!r}"
+                )
+            index[ex_id] = ordinal
+            ordinals.add(ordinal)
+    if len(index) != n:
+        raise DimensionMismatchError(f"{path}: index holds {len(index)} entries, header says n={n}")
     return images, index
 
 
-def write_captions_jsonl(path: str, examples_or_rows, captions: list[str] | None = None) -> None:
-    """Write caption JSON-lines: {"id", "caption", "image"} per line.
-
-    Accepts either (examples, captions) from the generator or an iterable of
-    preassembled row dicts.
-    """
+def write_captions_jsonl(path: str, rows) -> None:
+    """Write caption JSON-lines, one {"id", "caption", "image"} row dict per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        if captions is not None:
-            for ex, caption in zip(examples_or_rows, captions):
-                row = {"id": ex.id, "caption": caption, "image": ex.id}
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        else:
-            for row in examples_or_rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def read_captions_jsonl(path: str) -> list[dict]:

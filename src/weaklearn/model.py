@@ -158,7 +158,7 @@ def init_params(cfg: ModelConfig, k: int, seed) -> ModelParams:
 class ForwardTrace:
     """Per-layer caches needed by backward; tied to one input batch."""
 
-    inputs: list[np.ndarray] = field(default_factory=list)  # layer input (pre-flatten for fc0)
+    inputs: list[np.ndarray] = field(default_factory=list)  # conv: im2col columns; fc: flat input
     pre_acts: list[np.ndarray] = field(default_factory=list)  # z before the rectifier
     pooled: list[bool] = field(default_factory=list)  # conv layers: whether 2x2 pool ran
     batch: int = 0
@@ -191,21 +191,16 @@ def forward(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, Forwar
     trace = ForwardTrace(batch=x.shape[0])
     for layer, w, b in zip(cfg.layers, params.weights, params.biases):
         if layer[0] == "conv":
-            ks = layer[1]
-            trace.inputs.append(x)
-            cols = _im2col(x, ks)
+            cols = _im2col(x, layer[1])
+            trace.inputs.append(cols)
             z = cols @ w.reshape(-1, w.shape[-1]) + b
             trace.pre_acts.append(z)
-            a = np.maximum(z, 0)
-            if a.shape[1] >= 2 and a.shape[2] >= 2:
-                a = _pool_windows(a).max(axis=3)
-                trace.pooled.append(True)
-            else:
-                trace.pooled.append(False)
-            x = a
+            x = np.maximum(z, 0)
+            trace.pooled.append(x.shape[1] >= 2 and x.shape[2] >= 2)
+            if trace.pooled[-1]:
+                x = _pool_windows(x).max(axis=3)
         else:
-            if x.ndim == 4:
-                x = x.reshape(x.shape[0], -1)
+            x = x.reshape(x.shape[0], -1)
             trace.inputs.append(x)
             z = x @ w + b
             trace.pre_acts.append(z)
@@ -255,63 +250,44 @@ def backward(
         raise ValueError("trace does not match batch")
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(cfg.layers)
     d_x = d_embeddings.astype(cfg.np_dtype, copy=False)
-    pool_flags = list(trace.pooled)
     for i in range(len(cfg.layers) - 1, -1, -1):
-        layer = cfg.layers[i]
-        x_in = trace.inputs[i]
+        w = params.weights[i]
+        cols = trace.inputs[i]
         z = trace.pre_acts[i]
-        if layer[0] == "fc":
-            d_z = d_x * (z > 0)
-            d_w = x_in.T @ d_z
-            d_b = d_z.sum(axis=0)
-            d_x = d_z @ params.weights[i].T
-            if i > 0 and cfg.layers[i - 1][0] == "conv":
-                # undo the flatten that fed this fc layer
-                b = x_in.shape[0]
-                prev_z = trace.pre_acts[i - 1]
-                hp, wp, c = _post_pool_shape(prev_z.shape, pool_flags[i - 1])
-                d_x = d_x.reshape(b, hp, wp, c)
-        else:
-            ks = layer[1]
-            a = np.maximum(z, 0)
-            if pool_flags[i]:
-                wins = _pool_windows(a)
-                b, hp, wp, _, c = wins.shape
-                arg = wins.argmax(axis=3)
-                d_wins = np.zeros_like(wins)
-                np.put_along_axis(d_wins, arg[:, :, :, None, :], d_x[:, :, :, None, :], axis=3)
-                d_a = np.zeros_like(a)
-                d_a[:, : hp * 2, : wp * 2, :] = (
-                    d_wins.reshape(b, hp, wp, 2, 2, c)
-                    .transpose(0, 1, 3, 2, 4, 5)
-                    .reshape(b, hp * 2, wp * 2, c)
-                )
-            else:
-                d_a = d_x
-            d_z = d_a * (z > 0)
-            cols = _im2col(x_in, ks)
-            flat_cols = cols.reshape(-1, cols.shape[-1])
-            flat_dz = d_z.reshape(-1, d_z.shape[-1])
-            d_w = (flat_cols.T @ flat_dz).reshape(params.weights[i].shape)
-            d_b = flat_dz.sum(axis=0)
-            d_cols = (flat_dz @ params.weights[i].reshape(-1, d_z.shape[-1]).T).reshape(
-                d_z.shape[0], d_z.shape[1], d_z.shape[2], ks, ks, x_in.shape[3]
+        if cfg.layers[i][0] == "fc":
+            d_a = d_x
+        elif trace.pooled[i]:
+            wins = _pool_windows(np.maximum(z, 0))
+            b, hp, wp, _, c = wins.shape
+            arg = wins.argmax(axis=3)
+            d_wins = np.zeros_like(wins)
+            d_pooled = d_x.reshape(b, hp, wp, 1, c)
+            np.put_along_axis(d_wins, arg[:, :, :, None, :], d_pooled, axis=3)
+            d_a = np.zeros_like(z)
+            d_a[:, : hp * 2, : wp * 2, :] = (
+                d_wins.reshape(b, hp, wp, 2, 2, c)
+                .transpose(0, 1, 3, 2, 4, 5)
+                .reshape(b, hp * 2, wp * 2, c)
             )
-            d_x = np.zeros_like(x_in)
-            ho, wo = d_z.shape[1], d_z.shape[2]
+        else:
+            d_a = d_x.reshape(z.shape)
+        d_z = d_a * (z > 0)
+        flat_cols = cols.reshape(-1, cols.shape[-1])
+        flat_dz = d_z.reshape(-1, d_z.shape[-1])
+        grads[i] = ((flat_cols.T @ flat_dz).reshape(w.shape), flat_dz.sum(axis=0))
+        if i == 0:
+            break
+        d_x = flat_dz @ w.reshape(-1, w.shape[-1]).T
+        if cfg.layers[i][0] == "conv":
+            # col2im: each window position adds its slice of d_cols back onto the input
+            ks, _, c_in, _ = w.shape
+            b, ho, wo, _ = z.shape
+            d_cols = d_x.reshape(b, ho, wo, ks, ks, c_in)
+            d_x = np.zeros((b, ho + ks - 1, wo + ks - 1, c_in), dtype=d_cols.dtype)
             for r in range(ks):
                 for s in range(ks):
                     d_x[:, r : r + ho, s : s + wo, :] += d_cols[:, :, :, r, s, :]
-        grads[i] = (d_w, d_b)
     return grads
-
-
-def _post_pool_shape(pre_shape, pooled: bool):
-    """Spatial shape after the optional 2x2 pool, given the pre-activation shape."""
-    _, h, w, c = pre_shape
-    if pooled:
-        return h // 2, w // 2, c
-    return h, w, c
 
 
 def param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:

@@ -133,10 +133,10 @@ def load_dictionary(path: str) -> Dictionary:
         header = fh.readline().rstrip("\n")
         m = _DICT_HEADER.match(header)
         if m is None:
-            raise ValueError("malformed dictionary header")
+            raise ValueError(f"{path}: line 1: malformed dictionary header")
         declared_k, stop_count = int(m.group(1)), int(m.group(2))
         words, counts = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
                 continue
@@ -144,8 +144,8 @@ def load_dictionary(path: str) -> Dictionary:
                 word, count = line.split("\t")
                 counts.append(int(count))
             except ValueError:
-                raise ValueError(f"malformed dictionary line: {line!r}") from None
+                raise ValueError(f"{path}: line {lineno}: malformed dictionary line: {line!r}") from None
             words.append(word)
     if len(words) != declared_k:
-        raise ValueError("dictionary K mismatch")
+        raise ValueError(f"{path}: dictionary K mismatch: header says {declared_k}, found {len(words)}")
     return Dictionary(words=words, counts=np.array(counts, dtype=np.int64), stop_count=stop_count)

@@ -1,6 +1,7 @@
 """Command-line surface: argument handling, config files, exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ def test_pipeline_train_and_eval(capsys, data_dir, tmp_path):
     assert "selected lambda" in err
 
 
+def test_train_logs_one_config_line_first(capsys, data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    with open(data / "captions.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "extra", "caption": "notaword", "image": "ex000"}) + "\n")
+    code, _, err = run(capsys, train_args(data, tmp_path / "run", ["--full-softmax"]))
+    assert code == 0
+    lines = err.splitlines()
+    assert [l for l in lines if l.startswith("config ")] == lines[:1]
+    resolved = json.loads(lines[0].removeprefix("config "))
+    assert resolved["train"]["full_softmax"] is True
+    assert resolved["model"]["input_hwc"] == [4, 4, 1]
+    assert lines[1] == "dropped 1 empty-label examples"
+
+
 def test_config_file_json_equals_ini(capsys, data_dir, tmp_path):
     settings = {"train": {"max_epochs": 2, "epoch_size": 200, "batch_size": 20, "seed": 5},
                 "model": {"layers": "fc:8", "embed_dim": 8}}
@@ -195,7 +211,7 @@ def test_word_level_eval_commands(capsys, data_dir, tmp_path):
     code, _, err = run(capsys, ["eval-sim", "--ckpt", ckpt, "--dict", dict_path,
                                 "--pairs", str(bad)])
     assert code == 2
-    assert "line 1: expected 3 fields" in err
+    assert f"{bad}: line 1: expected 3 fields" in err
 
     emb = tmp_path / "emb.csv"
     code, out, _ = run(capsys, ["dump-embeddings", "--ckpt", ckpt, "--dict", dict_path,

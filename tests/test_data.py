@@ -1,4 +1,4 @@
-"""Image preprocessing, the synthetic generator, and the tensor container."""
+"""Image standardization, the synthetic generator, the tensor container and caption files."""
 
 import re
 
@@ -15,10 +15,8 @@ from weaklearn.data import (
     generate_synthetic,
     load_dataset,
     nearest_prototype_precision,
-    preprocess_image,
     read_captions_jsonl,
     read_tensor_container,
-    resize_bilinear,
     stable_fraction,
     standardize_image,
     write_captions_jsonl,
@@ -30,21 +28,21 @@ from weaklearn.textpipe import Dictionary
 
 def test_standardize_small_square():
     img = np.array([0.0, 0.0, 2.0, 2.0]).reshape(2, 2, 1)
-    out = preprocess_image(img, crop=2)
+    out = standardize_image(img)
     assert out.shape == (2, 2, 1)
     np.testing.assert_array_equal(out.ravel(), np.float32([-1, -1, 1, 1]))
 
 
 def test_constant_image_standardizes_to_zeros():
-    img = np.full((5, 7, 3), 4.2)
-    out = preprocess_image(img, crop=4)
+    out = standardize_image(np.full((4, 4, 3), 4.2))
     assert out.shape == (4, 4, 3)
     assert not out.any()
 
 
 def test_preprocess_output_statistics():
     rng = np.random.default_rng(0)
-    out = preprocess_image(rng.uniform(0, 255, size=(8, 8, 3)), crop=4)
+    out = standardize_image(rng.uniform(0, 255, size=(4, 4, 3)))
+    assert out.dtype == np.float32
     flat = out.astype(np.float64).ravel()
     assert abs(flat.mean()) < 1e-6
     assert abs(flat.std() - 1.0) < 1e-6
@@ -52,41 +50,9 @@ def test_preprocess_output_statistics():
 
 def test_preprocess_rejects_empty_images():
     with pytest.raises(ValueError, match="empty image"):
-        preprocess_image(np.zeros((0, 4, 3)), crop=2)
+        standardize_image(np.zeros((0, 4, 3)))
     with pytest.raises(ValueError, match="empty image"):
         standardize_image(np.zeros((0,)))
-
-
-def reference_resize(image, out_h, out_w):
-    """Half-pixel-centered bilinear, one output pixel at a time."""
-    h, w, c = image.shape
-    out = np.zeros((out_h, out_w, c))
-    for i in range(out_h):
-        for j in range(out_w):
-            sy = min(max((i + 0.5) * h / out_h - 0.5, 0.0), h - 1.0)
-            sx = min(max((j + 0.5) * w / out_w - 0.5, 0.0), w - 1.0)
-            y0, x0 = int(np.floor(sy)), int(np.floor(sx))
-            y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
-            fy, fx = sy - y0, sx - x0
-            top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
-            bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
-            out[i, j] = top * (1 - fy) + bot * fy
-    return out
-
-
-def test_resize_matches_reference_loop():
-    rng = np.random.default_rng(3)
-    for in_hw, out_hw in [((5, 7), (9, 4)), ((8, 8), (3, 11)), ((2, 3), (2, 3))]:
-        img = rng.uniform(-1, 1, size=(*in_hw, 2))
-        got = resize_bilinear(img, *out_hw)
-        np.testing.assert_allclose(got, reference_resize(img, *out_hw), rtol=0, atol=1e-12)
-
-
-def test_resize_preserves_constants_and_identity():
-    img = np.full((4, 6, 1), 3.5)
-    assert np.allclose(resize_bilinear(img, 9, 5), 3.5)
-    same = np.arange(24, dtype=np.float64).reshape(4, 6, 1)
-    np.testing.assert_allclose(resize_bilinear(same, 4, 6), same, atol=1e-12)
 
 
 def test_class_words_sort_like_class_indices():
@@ -178,7 +144,10 @@ def test_container_round_trip(tmp_path):
 def test_container_rejects_wrong_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTTENS1\nn=1 h=1 w=1 c=1 dtype=f32\n" + b"\x00" * 4)
-    with pytest.raises(MalformedHeaderError, match="malformed header"):
+    with pytest.raises(MalformedHeaderError, match=f"^{re.escape(str(path))}: line 1: malformed header"):
+        read_tensor_container(str(path))
+    path.write_bytes(b"WLTENS1\nn=1 h=1 w=1 dtype=f32\n" + b"\x00" * 4)
+    with pytest.raises(MalformedHeaderError, match=f"^{re.escape(str(path))}: line 2: malformed header"):
         read_tensor_container(str(path))
 
 
@@ -193,9 +162,19 @@ def test_container_rejects_bad_index(tmp_path):
     img = {"a": np.zeros((1, 1, 1), dtype=np.float32)}
     path = tmp_path / "tensors.bin"
     write_tensor_container(str(path), img)
-    raw = path.read_bytes().replace(b"a\t0\n", b"a\t1\n")
-    path.write_bytes(raw)
-    with pytest.raises(DimensionMismatchError):
+    good = path.read_bytes()
+    where = f"^{re.escape(str(path))}: index line 1: "
+    path.write_bytes(good.replace(b"a\t0\n", b"a\t1\n"))
+    with pytest.raises(DimensionMismatchError, match=where + "repeated or out-of-range"):
+        read_tensor_container(str(path))
+    path.write_bytes(good.replace(b"a\t0\n", b"a 0\n"))
+    with pytest.raises(MalformedHeaderError, match=where + "malformed index line"):
+        read_tensor_container(str(path))
+    path.write_bytes(good.replace(b"a\t0\n", b"a\t0\nb\t0\n"))
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(str(path))}: index line 2: repeated"):
+        read_tensor_container(str(path))
+    path.write_bytes(good.replace(b"a\t0\n", b""))
+    with pytest.raises(DimensionMismatchError, match="index holds 0 entries, header says n=1"):
         read_tensor_container(str(path))
 
 

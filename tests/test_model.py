@@ -162,12 +162,8 @@ def test_zero_upstream_gradient_gives_zero_parameter_gradients():
     assert not d_e.any() and not d_cols.any()
 
 
-def test_backward_matches_finite_differences():
-    rng = np.random.default_rng(12)
-    cfg = small_conv_config()
-    params = init_params(cfg, k=3, seed=8)
-    images = rng.standard_normal((4, 6, 6, 2))
-    probe = rng.standard_normal((4, cfg.embed_dim))
+def max_fd_error(params: ModelParams, images: np.ndarray, probe: np.ndarray) -> float:
+    """Worst relative error of backward against central differences of sum(e * probe)."""
 
     def scalar_loss():
         e, _ = forward(params, images)
@@ -197,7 +193,38 @@ def test_backward_matches_finite_differences():
             numeric = (up - down) / (2 * h)
             err = abs(grad_flat[idx] - numeric) / max(abs(grad_flat[idx]), abs(numeric), 1e-8)
             worst = max(worst, err)
-    assert worst < 1e-5
+    return worst
+
+
+def test_backward_matches_finite_differences():
+    rng = np.random.default_rng(12)
+    cfg = small_conv_config()
+    params = init_params(cfg, k=3, seed=8)
+    images = rng.standard_normal((4, 6, 6, 2))
+    probe = rng.standard_normal((4, cfg.embed_dim))
+    assert max_fd_error(params, images, probe) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        [("conv", 2, 2), ("conv", 2, 2), ("fc", 5), ("fc", 4)],  # second conv 1x1, unpooled
+        [("conv", 2, 3), ("conv", 2, 3), ("fc", 4)],
+    ],
+    ids=["conv2-conv2-fc5-fc4", "conv3-conv3-fc4"],
+)
+def test_stacked_conv_backward_matches_finite_differences(layers):
+    cfg = ModelConfig(input_hwc=(6, 6, 1), layers=layers, embed_dim=4, dtype="f64")
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, k=3, seed=seed)
+        # init's zero biases let an all-zero pooled patch put a pre-activation
+        # exactly on the rectifier's kink, where central differences disagree
+        for bias in params.biases:
+            bias[...] = rng.uniform(-0.5, 0.5, size=bias.shape)
+        images = rng.standard_normal((4, 6, 6, 1))
+        probe = rng.standard_normal((4, cfg.embed_dim))
+        assert max_fd_error(params, images, probe) < 1e-5, f"seed {seed}"
 
 
 def test_pool_gradient_routes_to_first_maximum():

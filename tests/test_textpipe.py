@@ -1,5 +1,6 @@
 """Caption normalization and dictionary construction."""
 
+import re
 import unicodedata
 from collections import Counter
 
@@ -206,10 +207,15 @@ def test_dictionary_file_round_trip(tmp_path):
 def test_load_dictionary_rejects_bad_files(tmp_path):
     bad_header = tmp_path / "bad.tsv"
     bad_header.write_text("#something-else v9\nred\t3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="malformed dictionary header"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad_header))}: line 1: malformed dictionary header"):
         load_dictionary(str(bad_header))
+
+    bad_entry = tmp_path / "spaces.tsv"
+    bad_entry.write_text("#weaklearn-dict v1 K=2 stop=0\nred\t3\n\nblue 2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad_entry))}: line 4: malformed dictionary line"):
+        load_dictionary(str(bad_entry))
 
     wrong_k = tmp_path / "short.tsv"
     wrong_k.write_text("#weaklearn-dict v1 K=3 stop=0\nred\t3\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="dictionary K mismatch"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(wrong_k))}: dictionary K mismatch"):
         load_dictionary(str(wrong_k))
