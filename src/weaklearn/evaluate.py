@@ -16,6 +16,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .data import Example, stable_fraction
+from .loss import softmax
 from .model import ModelParams, forward, score_subset
 from .textpipe import Dictionary
 
@@ -166,11 +167,7 @@ def _fit_multinomial(x: np.ndarray, labels: np.ndarray, n_classes: int, lam: flo
     lipschitz = 0.5 * (gram_top + 1.0) + lam
     step = 1.0 / lipschitz
     for _ in range(10_000):
-        z = x @ w + b
-        z -= z.max(axis=1, keepdims=True)
-        p = np.exp(z)
-        p /= p.sum(axis=1, keepdims=True)
-        diff = (p - y) / n
+        diff = (softmax(x @ w + b) - y) / n
         g_w = x.T @ diff + lam * w
         g_b = diff.sum(axis=0)
         norm = np.sqrt((g_w * g_w).sum() + (g_b * g_b).sum())
@@ -257,7 +254,6 @@ def analogy_accuracy(
     """
     w2i = dictionary.word_to_index
     unit = _unit_columns(np.asarray(w_out, dtype=np.float64))
-    norms = np.linalg.norm(w_out, axis=0)
     scored = 0
     correct = 0
     skipped = 0
@@ -267,7 +263,7 @@ def analogy_accuracy(
             skipped += 1
             continue
         ia, ib, ic, id_ = idx
-        if norms[ia] == 0 or norms[ib] == 0 or norms[ic] == 0:
+        if not (unit[:, ia].any() and unit[:, ib].any() and unit[:, ic].any()):
             raise ValueError("zero-norm embedding column")
         target = unit[:, ib] - unit[:, ia] + unit[:, ic]
         sims = target @ unit
@@ -279,19 +275,12 @@ def analogy_accuracy(
     return EvalReport(metric="analogy_accuracy", value=value, k=None, n_items=scored, n_skipped=skipped)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return 0.0
-    return float(u @ v / (nu * nv))
-
-
 def spearman_similarity(
     w_out: np.ndarray, pairs: list[SimilarityPair], dictionary: Dictionary
 ) -> EvalReport:
-    """Spearman rank correlation of model cosines against human ratings."""
+    """Spearman rank correlation of model cosines (0 at a zero column) against human ratings."""
     w2i = dictionary.word_to_index
-    w = np.asarray(w_out, dtype=np.float64)
+    unit = _unit_columns(np.asarray(w_out, dtype=np.float64))
     cosines, ratings = [], []
     skipped = 0
     for pair in pairs:
@@ -299,7 +288,7 @@ def spearman_similarity(
         if i is None or j is None:
             skipped += 1
             continue
-        cosines.append(_cosine(w[:, i], w[:, j]))
+        cosines.append(float(unit[:, i] @ unit[:, j]))
         ratings.append(pair.rating)
     if len(cosines) < 2:
         raise ValueError("fewer than 2 scorable pairs")
@@ -326,6 +315,8 @@ def translation_precision(
     direction "forward" queries word1 against the set of word2 entries;
     "reverse" swaps the roles. Candidates are exactly the target-side
     words of the scorable pairs; ties rank by ascending dictionary index.
+    A target's rank is counted as in precision_at_k, 512 queries at a time,
+    so memory is bounded by 512 x candidates similarities.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be forward or reverse")
@@ -342,16 +333,15 @@ def translation_precision(
             skipped += 1
     if not scorable:
         raise ValueError("empty candidate set")
-    candidates = sorted({w2i[p.word2] for p in scorable})
+    targets = [w2i[p.word2] for p in scorable]
+    candidates = np.unique(targets)
     cand_cols = _unit_columns(w[:, candidates])
+    queries = _unit_columns(w[:, [w2i[p.word1] for p in scorable]])
+    positions = np.searchsorted(candidates, targets)
     hits = 0
-    for pair in scorable:
-        query = w[:, w2i[pair.word1]]
-        norm = np.linalg.norm(query)
-        sims = (query / norm) @ cand_cols if norm > 0 else np.zeros(len(candidates))
-        top = _top_k_indices(sims, min(k, len(candidates)))
-        if w2i[pair.word2] in (candidates[t] for t in top):
-            hits += 1
+    for start in range(0, len(scorable), 512):
+        sims = queries[:, start : start + 512].T @ cand_cols
+        hits += int(np.count_nonzero(_label_ranks(sims, positions[start : start + 512]) < k))
     return EvalReport(
         metric=f"translation_precision_{direction}",
         value=hits / len(scorable),

@@ -36,27 +36,26 @@ class BoundReport:
     shift: float
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax over the last axis."""
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float64 logits shifted by their row max, their exp, and the exp's row sums."""
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return z, e, e.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.asarray(logits)
-    m = z.max(axis=-1, keepdims=True)
-    shifted = z - m
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stable softmax over the last axis."""
+    _, e, total = _shifted_exp(logits)
+    return e / total
 
 
 def multiclass_loss(logits: np.ndarray, y: np.ndarray) -> LossGrad:
     """Mean over the batch of the negative log-probability summed over positives.
 
     y is a {0,1} indicator matrix shaped like logits; each row needs at
-    least one positive. d_logits is the exact gradient of the returned
-    scalar: ((sum_k y_k) * softmax(row) - y) / batch.
+    least one positive. The loss is float64; d_logits, in the logits' dtype,
+    is its exact gradient: ((sum_k y_k) * softmax(row) - y) / batch.
     """
     logits = np.asarray(logits)
     y = np.asarray(y)
@@ -66,9 +65,9 @@ def multiclass_loss(logits: np.ndarray, y: np.ndarray) -> LossGrad:
     if np.any(row_pos < 1):
         raise ValueError("row with zero positives")
     batch = logits.shape[0]
-    logp = _log_softmax(logits)
-    loss = float(-(y * logp).sum() / batch)
-    p = softmax(logits).astype(logits.dtype, copy=False)
+    z, e, total = _shifted_exp(logits)
+    loss = float(-(y * (z - np.log(total))).sum() / batch)
+    p = (e / total).astype(logits.dtype, copy=False)
     d_logits = (row_pos[:, None] * p - y) / batch
     return LossGrad(loss=loss, d_logits=d_logits.astype(logits.dtype, copy=False))
 

@@ -9,6 +9,7 @@ written out by hand so gradients can be audited against finite differences.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -17,9 +18,10 @@ import numpy as np
 
 CHECKPOINT_FORMAT = "WLCKPT1"
 CHECKPOINT_MAGIC = f"{CHECKPOINT_FORMAT}\n".encode("ascii")
-_ARRAY_LINE = re.compile(r"^array=(\S+) shape=([0-9,]*) dtype=(f32|f64)$")
+_ARRAY_LINE = re.compile(r"array=(\S+) shape=((?:[0-9]+(?:,[0-9]+)*)?) dtype=(f32|f64)\n")
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
+# Parameter dtypes by config name, little-endian as checkpoints store them.
+_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 
 
 @dataclass
@@ -300,6 +302,13 @@ def param_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
     return out
 
 
+# WLCKPT1 header lines 2..9 in order: key=value, each value read back by its parser.
+_CHECKPOINT_HEADER = {
+    "config": ModelConfig.from_json, "k": int, "dtype": str, "rng_algo": str,
+    "rng_state": json.loads, "step": int, "lr": float, "arrays": int,
+}
+
+
 def save_checkpoint(
     path: str,
     params: ModelParams,
@@ -310,73 +319,63 @@ def save_checkpoint(
 ) -> None:
     """Write the WLCKPT1 checkpoint atomically (temp file, then rename)."""
     cfg = params.config
-    lines = [
-        CHECKPOINT_FORMAT,
-        f"config={cfg.to_json()}",
-        f"k={params.k}",
-        f"dtype={cfg.dtype}",
-        f"rng_algo={rng_algo}",
-        f"rng_state={json.dumps(rng_state, sort_keys=True, separators=(',', ':'))}",
-        f"step={int(step)}",
-        f"lr={lr!r}",
-    ]
     arrays = param_arrays(params)
-    lines.append(f"arrays={len(arrays)}")
-    le_dtype = "<f4" if cfg.dtype == "f32" else "<f8"
+    rng_json = json.dumps(rng_state, sort_keys=True, separators=(",", ":"))
+    values = (cfg.to_json(), params.k, cfg.dtype, rng_algo, rng_json, int(step), repr(lr), len(arrays))
+    header = "".join(f"{key}={value}\n" for key, value in zip(_CHECKPOINT_HEADER, values))
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        fh.write(CHECKPOINT_MAGIC + header.encode("ascii"))
         for name, arr in arrays:
             shape = ",".join(str(d) for d in arr.shape)
             fh.write(f"array={name} shape={shape} dtype={cfg.dtype}\n".encode("ascii"))
-            fh.write(np.ascontiguousarray(arr, dtype=le_dtype).tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype=cfg.np_dtype).tobytes())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Read a WLCKPT1 checkpoint; returns (params, meta).
 
-    meta carries rng_algo, rng_state, step and lr exactly as stored.
+    meta carries rng_algo, rng_state, step and lr exactly as stored. Every
+    error starts with the path; a header error names its line, an array
+    error its array.
     """
     with open(path, "rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise ValueError("malformed checkpoint")
-        header: dict[str, str] = {}
-        for key in ("config", "k", "dtype", "rng_algo", "rng_state", "step", "lr", "arrays"):
-            line = fh.readline().decode("ascii").rstrip("\n")
-            if not line.startswith(key + "="):
-                raise ValueError(f"malformed checkpoint header near {key!r}")
-            header[key] = line[len(key) + 1 :]
-        cfg = ModelConfig.from_json(header["config"])
+            raise ValueError(f"{path}: line 1: malformed checkpoint magic")
+        header = {}
+        for lineno, (key, parse) in enumerate(_CHECKPOINT_HEADER.items(), 2):
+            line = fh.readline()
+            prefix = f"{key}=".encode("ascii")
+            if not (line.isascii() and line.startswith(prefix) and line.endswith(b"\n")):
+                raise ValueError(f"{path}: line {lineno}: malformed checkpoint header, expected {key}=")
+            try:
+                header[key] = parse(line[len(prefix) : -1].decode("ascii"))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}: line {lineno}: bad {key} value: {exc}") from None
+        cfg = header["config"]
         if cfg.dtype != header["dtype"]:
-            raise ValueError("checkpoint dtype mismatch")
-        le_dtype = "<f4" if cfg.dtype == "f32" else "<f8"
-        itemsize = 4 if cfg.dtype == "f32" else 8
+            raise ValueError(f"{path}: line 4: dtype={header['dtype']} but the config says {cfg.dtype}")
         named: dict[str, np.ndarray] = {}
-        for _ in range(int(header["arrays"])):
-            line = fh.readline().decode("ascii").rstrip("\n")
-            m = _ARRAY_LINE.match(line)
-            if m is None:
-                raise ValueError(f"malformed array line: {line!r}")
+        for ordinal in range(1, header["arrays"] + 1):
+            line = fh.readline()
+            m = _ARRAY_LINE.fullmatch(line.decode("ascii", errors="replace"))
+            if m is None or m.group(3) != cfg.dtype:
+                raise ValueError(f"{path}: array {ordinal}: malformed {cfg.dtype} array line {line[:80]!r}")
+            name = m.group(1)
             shape = tuple(int(d) for d in m.group(2).split(",")) if m.group(2) else ()
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * itemsize)
-            if len(raw) != count * itemsize:
-                raise ValueError("truncated checkpoint array")
-            named[m.group(1)] = np.frombuffer(raw, dtype=le_dtype).reshape(shape).copy()
-    weights, biases = [], []
-    for i in range(len(cfg.layers)):
-        weights.append(named[f"layer{i}.weight"])
-        biases.append(named[f"layer{i}.bias"])
-    params = ModelParams(
-        config=cfg, weights=weights, biases=biases, output_weights=named["output.weight"]
-    )
-    if params.k != int(header["k"]):
-        raise ValueError("checkpoint k mismatch")
-    meta = {
-        "rng_algo": header["rng_algo"],
-        "rng_state": json.loads(header["rng_state"]),
-        "step": int(header["step"]),
-        "lr": float(header["lr"]),
-    }
+            n_bytes = math.prod(shape) * cfg.np_dtype.itemsize
+            raw = fh.read(n_bytes)
+            if len(raw) != n_bytes:
+                raise ValueError(f"{path}: array {name}: truncated, {len(raw)} of {n_bytes} bytes")
+            named[name] = np.frombuffer(raw, dtype=cfg.np_dtype).reshape(shape).copy()
+    names = [f"layer{i}.{part}" for i in range(len(cfg.layers)) for part in ("weight", "bias")]
+    missing = [name for name in names + ["output.weight"] if name not in named]
+    if missing:
+        raise ValueError(f"{path}: missing array {missing[0]}")
+    layers = [named[name] for name in names]
+    params = ModelParams(cfg, weights=layers[0::2], biases=layers[1::2], output_weights=named["output.weight"])
+    if params.k != header["k"]:
+        raise ValueError(f"{path}: line 3: k={header['k']} but output.weight has {params.k} columns")
+    meta = {key: header[key] for key in ("rng_algo", "rng_state", "step", "lr")}
     return params, meta

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from weaklearn.cli import main, parse_layers
+from weaklearn.model import ModelConfig, init_params, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -239,6 +240,18 @@ def test_build_dict_bad_caption_line_exits_two(capsys, tmp_path):
     assert code == 2
     assert str(captions) in err and "line 2" in err
     assert not (tmp_path / "dict.tsv").exists()
+
+
+def test_eval_on_truncated_checkpoint_exits_two_naming_it(capsys, tmp_path):
+    ckpt = tmp_path / "cut.wlckpt"
+    cfg = ModelConfig(input_hwc=(4, 4, 1), layers=[("fc", 3)], embed_dim=3)
+    params = init_params(cfg, k=5, seed=1)
+    save_checkpoint(str(ckpt), params, rng_algo="numpy-pcg64", rng_state={}, step=0, lr=0.1)
+    ckpt.write_bytes(ckpt.read_bytes()[:-7])
+    code, _, err = run(capsys, ["eval-sim", "--ckpt", str(ckpt), "--dict", str(tmp_path / "dict.tsv"),
+                                "--pairs", str(tmp_path / "pairs.txt")])
+    assert code == 2
+    assert f"{ckpt}: array output.weight: truncated" in err
 
 
 def test_train_stops_on_non_finite_loss(capsys, data_dir, tmp_path):

@@ -249,6 +249,27 @@ def test_spearman_matches_scipy():
     assert report.metric == "spearman_similarity"
 
 
+def test_spearman_counts_zero_norm_pairs_as_cosine_zero():
+    rng = np.random.default_rng(32)
+    words = [f"tok{i}" for i in range(12)]
+    dictionary = make_dictionary(words)
+    w = rng.standard_normal((5, 12))
+    w[:, [0, 7]] = 0.0
+    pairs = [
+        SimilarityPair(words[i], words[j], float(rng.integers(0, 6)))
+        for i, j in (rng.choice(12, size=2, replace=False) for _ in range(40))
+    ]
+    cosines = []
+    for p in pairs:
+        u = w[:, dictionary.word_to_index[p.word1]]
+        v = w[:, dictionary.word_to_index[p.word2]]
+        norm = np.linalg.norm(u) * np.linalg.norm(v)
+        cosines.append(float(u @ v / norm) if norm > 0 else 0.0)
+    assert cosines.count(0.0) >= 2  # the zero columns take part, so their pairs tie at 0
+    expected = scipy.stats.spearmanr(cosines, [p.rating for p in pairs]).statistic
+    assert abs(spearman_similarity(w, pairs, dictionary).value - expected) < 1e-12
+
+
 def test_spearman_extremes_and_constant():
     words = ["anchor", "p1", "p2", "p3", "p4"]
     dictionary = make_dictionary(words)
@@ -282,7 +303,8 @@ def brute_force_translation(w, dictionary, pairs, direction, k):
         q = w[:, w2i[src]]
         for c in candidates:
             col = w[:, c]
-            sims.append(float(q @ col / (np.linalg.norm(q) * np.linalg.norm(col))))
+            norm = np.linalg.norm(q) * np.linalg.norm(col)
+            sims.append(float(q @ col / norm) if norm > 0 else 0.0)
         top = brute_force_top_k(sims, min(k, len(candidates)))
         hits += w2i[tgt] in [candidates[t] for t in top]
     return hits / len(oriented)
@@ -301,6 +323,25 @@ def test_translation_matches_brute_force():
             assert report.value == pytest.approx(expected)
             assert report.metric == f"translation_precision_{direction}"
             assert report.k == k
+
+
+def test_translation_matches_brute_force_across_query_chunks():
+    rng = np.random.default_rng(33)
+    words = [f"src{i}" for i in range(30)] + [f"tgt{i}" for i in range(40)]
+    dictionary = make_dictionary(words)
+    w = rng.standard_normal((6, 70))
+    w[:, 30 + 7] = w[:, 30 + 3]  # two tied target columns
+    w[:, 5] = 0.0  # a zero-norm query (a zero-norm candidate in reverse)
+    pairs = [
+        TranslationPair(f"src{i}", f"tgt{j}")
+        for i, j in zip(rng.integers(0, 30, size=700), rng.integers(0, 40, size=700))
+    ]
+    pairs += [TranslationPair("src5", "tgt3"), TranslationPair("src9", "tgt7")]
+    for direction in ("forward", "reverse"):
+        for k in (1, 3, 50):
+            report = translation_precision(w, pairs, dictionary, direction=direction, k=k)
+            assert report.n_items == 702
+            assert report.value == brute_force_translation(w, dictionary, pairs, direction, k)
 
 
 def test_translation_restricts_ranking_to_candidates():

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,6 +95,22 @@ def test_multiclass_gradient_matches_finite_differences():
     lg = multiclass_loss(logits, y)
     numeric = finite_diff_wrt_logits(lambda l: multiclass_loss(l, y).loss, logits.copy())
     assert max_rel_err(lg.d_logits, numeric) < 1e-6
+
+
+@pytest.mark.parametrize("positives", [1, 5])
+def test_multiclass_f32_loss_is_float64_and_gradient_is_f32_softmax(positives):
+    rng = np.random.default_rng(41)
+    logits = (rng.standard_normal((64, 128)) * 4).astype(np.float32)
+    y = np.zeros_like(logits)
+    for row in range(64):
+        y[row, rng.choice(128, size=positives, replace=False)] = 1
+    lg = multiclass_loss(logits, y)
+    expected = -(y * scipy.special.log_softmax(logits.astype(np.float64), axis=1)).sum() / 64
+    assert abs(lg.loss - expected) <= 1e-12 * abs(expected)
+    row_pos = y.sum(axis=1)
+    d_expected = (row_pos[:, None] * softmax(logits).astype(np.float32) - y) / 64
+    assert lg.d_logits.dtype == np.float32
+    assert lg.d_logits.tobytes() == d_expected.tobytes()
 
 
 def test_multiclass_rejects_rows_without_positives():

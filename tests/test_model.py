@@ -305,6 +305,41 @@ def test_checkpoint_rejects_wrong_magic(tmp_path):
         load_checkpoint(str(path))
 
 
+# each damage to a saved f32 checkpoint of small_conv_config (7 arrays, k=6),
+# and the place its error must name after the path
+CHECKPOINT_DAMAGE = {
+    "wrong magic": (lambda raw: b"WLCKPT9" + raw[7:], "line 1"),
+    "cut in header": (lambda raw: raw[: raw.index(b"\nstep=")], "line 6"),
+    "non-ASCII header": (lambda raw: raw.replace(b"=numpy", b"=n\xffmpy", 1), "line 5"),
+    "header key out of order": (
+        lambda raw: raw.replace(b"\nk=6\ndtype=f32\n", b"\ndtype=f32\nk=6\n", 1), "line 3"
+    ),
+    "cut in array line": (lambda raw: raw[: raw.index(b"array=layer1.weight") + 12], "array 3"),
+    "cut in payload": (lambda raw: raw[:-5], "array output.weight"),
+    "missing array": (
+        lambda raw: raw.replace(b"\narrays=7\n", b"\narrays=6\n", 1), "missing array output.weight"
+    ),
+    "k mismatch": (lambda raw: raw.replace(b"\nk=6\n", b"\nk=7\n", 1), "line 3"),
+    "dtype mismatch": (lambda raw: raw.replace(b"\ndtype=f32\n", b"\ndtype=f64\n", 1), "line 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECKPOINT_DAMAGE))
+def test_checkpoint_errors_name_the_path(tmp_path, case):
+    damage, place = CHECKPOINT_DAMAGE[case]
+    path = tmp_path / "model.wlckpt"
+    params = init_params(small_conv_config(dtype="f32"), k=6, seed=13)
+    save_checkpoint(str(path), params, rng_algo="numpy-pcg64", rng_state={}, step=3, lr=0.1)
+    raw = path.read_bytes()
+    bad = damage(raw)
+    assert bad != raw
+    path.write_bytes(bad)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert place in str(err.value)
+
+
 def test_model_config_validation():
     with pytest.raises(ValueError, match="last layer must be fc"):
         ModelConfig(input_hwc=(4, 4, 1), layers=[("conv", 2, 2)], embed_dim=2)
