@@ -23,9 +23,7 @@ cfg = SynthConfig(k=12, img_size=8, noise_sigma=0.8, n_examples=3000, seed=42)
 examples, dictionary, prototypes = generate_synthetic(cfg)
 print(f"generated {len(examples)} examples, K={dictionary.k}, image {cfg.img_size}x{cfg.img_size}")
 
-counts = np.zeros(dictionary.k, dtype=int)
-for ex in examples:
-    counts[ex.labels] += 1
+counts = np.bincount(examples.label_flat, minlength=dictionary.k)
 print("\nclass histogram (Zipf exponent 1.0 gives the long tail)")
 for word, n in zip(dictionary.words, counts):
     print(f"  {word:4} {'#' * max(1, n // 25)} {n}")
@@ -42,12 +40,14 @@ print("any precision number on this data means.")
 
 # the on-disk form round-trips exactly
 with tempfile.TemporaryDirectory() as tmp:
-    rows = [{"id": ex.id, "caption": " ".join(dictionary.words[l] for l in ex.labels),
-             "image": ex.id} for ex in examples]
+    ids = examples.ids.tolist()
+    rows = [{"id": ex_id, "caption": " ".join(dictionary.words[l] for l in examples.labels_of(i)),
+             "image": ex_id} for i, ex_id in enumerate(ids)]
     write_captions_jsonl(f"{tmp}/captions.jsonl", rows)
-    write_tensor_container(f"{tmp}/tensors.bin", {ex.id: ex.image for ex in examples})
+    write_tensor_container(f"{tmp}/tensors.bin", dict(zip(ids, examples.images)))
     save_dictionary(dictionary, f"{tmp}/dict.tsv")
     reloaded, dropped = load_dataset(f"{tmp}/captions.jsonl", f"{tmp}/tensors.bin", dictionary)
-    same = all(np.array_equal(a.image, b.image) and np.array_equal(a.labels, b.labels)
-               for a, b in zip(examples, reloaded))
+    same = (np.array_equal(examples.images, reloaded.images)
+            and np.array_equal(examples.label_offsets, reloaded.label_offsets)
+            and np.array_equal(examples.label_flat, reloaded.label_flat))
 print(f"\nfile round trip: {len(reloaded)} examples back ({dropped} dropped), bitwise equal: {same}")

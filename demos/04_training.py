@@ -39,7 +39,7 @@ with tempfile.TemporaryDirectory() as tmp:
     problems = schedule_violations(log.records, cfg)
     print(f"schedule contract violations: {problems if problems else 'none'}")
 
-    _, val = split_dataset(examples, cfg.validation_fraction)
+    val = examples[split_dataset(examples, cfg.validation_fraction)[1]]
     print(f"final val error at k=1: {validation_error(params, val, k=1):.4f} "
           f"(chance would be {1 - 1 / dictionary.k:.2f})")
 

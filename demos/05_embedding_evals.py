@@ -32,13 +32,13 @@ examples, dictionary, _ = generate_synthetic(
 model_cfg = ModelConfig(input_hwc=(8, 8, 1), layers=[("fc", 24)], embed_dim=24)
 params, _ = train(TrainConfig(seed=0, epoch_size=2000, max_epochs=25, batch_size=64),
                   examples, model_cfg, k=dictionary.k)
-train_set, val = split_dataset(examples, 0.2)
+val = examples[split_dataset(examples, 0.2)[1]]
 
 report = precision_at_k(params, val, k=1)
 print(f"word prediction: {report.metric} = {report.value:.3f} on {report.n_items} held-out examples")
 
 features = extract_features(params, val)
-labels = np.array([int(ex.labels[0]) for ex in val])
+labels = val.label_flat[val.label_offsets[:-1]]
 probe, probe_report = linear_probe(features, labels, seed=0)
 print(f"linear probe on frozen features: accuracy {probe_report.value:.3f} "
       f"(lambda {probe.lam:g})")

@@ -117,32 +117,19 @@ def _cmd_gen_synth(args) -> int:
         seed=args.seed,
         n_examples=args.n_examples,
     )
-    examples, dictionary, prototypes = generate_synthetic(cfg)
+    dataset, dictionary, prototypes = generate_synthetic(cfg)
     os.makedirs(args.out_dir, exist_ok=True)
+    ids = dataset.ids.tolist()
     rows = [
-        {
-            "id": ex.id,
-            "caption": " ".join(dictionary.words[int(l)] for l in ex.labels),
-            "image": ex.id,
-        }
-        for ex in examples
+        {"id": ex_id, "caption": " ".join(dictionary.words[l] for l in dataset.labels_of(i)), "image": ex_id}
+        for i, ex_id in enumerate(ids)
     ]
     write_captions_jsonl(os.path.join(args.out_dir, CAPTIONS_FILE), rows)
-    write_tensor_container(
-        os.path.join(args.out_dir, TENSORS_FILE), {ex.id: ex.image for ex in examples}
-    )
+    write_tensor_container(os.path.join(args.out_dir, TENSORS_FILE), dict(zip(ids, dataset.images)))
     np.save(os.path.join(args.out_dir, "prototypes.npy"), prototypes)
-    print(
-        json.dumps(
-            {
-                "n_examples": len(examples),
-                "k": dictionary.k,
-                "img_size": cfg.img_size,
-                "files": [CAPTIONS_FILE, TENSORS_FILE, "prototypes.npy"],
-            },
-            sort_keys=True,
-        )
-    )
+    files = [CAPTIONS_FILE, TENSORS_FILE, "prototypes.npy"]
+    summary = {"n_examples": len(dataset), "k": dictionary.k, "img_size": cfg.img_size, "files": files}
+    print(json.dumps(summary, sort_keys=True))
     return 0
 
 
@@ -170,19 +157,9 @@ def _cmd_train(args) -> int:
         raise ValueError(f"unknown train config keys: {sorted(unknown)}")
     cfg = TrainConfig(**{k: _TRAIN_KEYS[k](v) for k, v in train_section.items()})
 
-    dict_path = os.path.join(args.data_dir, DICT_FILE)
-    captions_path = os.path.join(args.data_dir, CAPTIONS_FILE)
-    tensors_path = os.path.join(args.data_dir, TENSORS_FILE)
-    for path in (dict_path, captions_path, tensors_path):
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"data file not found: {path}")
-    dictionary = load_dictionary(dict_path)
-    dataset, dropped = load_dataset(captions_path, tensors_path, dictionary)
-    if not dataset:
-        raise ValueError("no usable examples")
-
+    dictionary, dataset, dropped = _load_data_dir(args.data_dir)
     model_cfg = ModelConfig(
-        input_hwc=dataset[0].image.shape,
+        input_hwc=dataset.images.shape[1:],
         layers=parse_layers(model_section.get("layers", "fc:64,fc:64")),
         embed_dim=int(model_section.get("embed_dim", 64)),
         dtype=str(model_section.get("dtype", "f32")),
@@ -196,11 +173,8 @@ def _cmd_train(args) -> int:
     ckpt_path = os.path.join(args.out_dir, "checkpoint.wlckpt")
     params, log = train(cfg, dataset, model_cfg, k=dictionary.k, checkpoint_path=ckpt_path)
     save_trainlog(log, os.path.join(args.out_dir, "trainlog.jsonl"))
-    summary = {
-        "checkpoint": "checkpoint.wlckpt",
-        "epochs": len(log.records),
-        "final_val_error": log.records[-1]["val_error"] if log.records else None,
-    }
+    final_val_error = log.records[-1]["val_error"] if log.records else None
+    summary = {"checkpoint": "checkpoint.wlckpt", "epochs": len(log.records), "final_val_error": final_val_error}
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -213,39 +187,39 @@ def _cmd_check_bounds(args) -> int:
 
 
 def _cmd_grad_check(args) -> int:
-    model_cfg = ModelConfig(
-        input_hwc=(6, 6, 1),
-        layers=[("conv", 3, 4), ("fc", 16), ("fc", 8)],
-        embed_dim=8,
-        dtype="f64",
-    )
+    layers = [("conv", 3, 4), ("fc", 16), ("fc", 8)]
+    model_cfg = ModelConfig(input_hwc=(6, 6, 1), layers=layers, embed_dim=8, dtype="f64")
     err = gradient_check(model_cfg, args.loss_kind, args.seed)
     print(json.dumps({"loss_kind": args.loss_kind, "max_rel_err": err}, sort_keys=True))
     return 0
 
 
-def _load_ckpt_dataset(args):
-    params, _ = load_checkpoint(args.ckpt)
-    dictionary = load_dictionary(os.path.join(args.data, DICT_FILE))
-    dataset, _ = load_dataset(
-        os.path.join(args.data, CAPTIONS_FILE), os.path.join(args.data, TENSORS_FILE), dictionary
-    )
+def _load_data_dir(data_dir: str):
+    """(dictionary, dataset, count of dropped empty-label examples) of a data directory."""
+    paths = [os.path.join(data_dir, name) for name in (DICT_FILE, CAPTIONS_FILE, TENSORS_FILE)]
+    for path in paths:
+        if not os.path.exists(path):
+            raise FileNotFoundError(f"data file not found: {path}")
+    dictionary = load_dictionary(paths[0])
+    dataset, dropped = load_dataset(paths[1], paths[2], dictionary)
     if not dataset:
         raise ValueError("no usable examples")
-    return params, dictionary, dataset
+    return dictionary, dataset, dropped
 
 
 def _cmd_eval_words(args) -> int:
-    params, _, dataset = _load_ckpt_dataset(args)
+    params, _ = load_checkpoint(args.ckpt)
+    _, dataset, _ = _load_data_dir(args.data)
     report = precision_at_k(params, dataset, k=args.k)
     print(report.to_json())
     return 0
 
 
 def _cmd_eval_probe(args) -> int:
-    params, _, dataset = _load_ckpt_dataset(args)
+    params, _ = load_checkpoint(args.ckpt)
+    _, dataset, _ = _load_data_dir(args.data)
     features = extract_features(params, dataset)
-    labels = np.array([int(ex.labels[0]) for ex in dataset])  # lowest class index per example
+    labels = dataset.label_flat[dataset.label_offsets[:-1]]  # lowest class index per example
     grid = np.array([float(x) for x in args.lambda_grid.split(",")]) if args.lambda_grid else None
     probe, report = linear_probe(features, labels, lambda_grid=grid, seed=args.seed)
     print(f"selected lambda {probe.lam:g}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Dataset ingestion, image standardization, and the synthetic Zipf generator.
 
-Images are plain float32 arrays of shape (H, W, C); no codec dependency.
-The tensor container is a small binary format (magic "WLTENS1") holding all
-images of a dataset plus an id index, so datasets round-trip bit-exactly.
+A Dataset holds all images as one (N, H, W, C) float32 array, no codec
+dependency, with ids and CSR labels beside it. The tensor container is a
+small binary format (magic "WLTENS1") holding all images of a dataset plus
+an id index, so datasets round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -35,11 +36,53 @@ class DimensionMismatchError(ValueError):
     """Container payload or index disagrees with its declared dimensions."""
 
 
-@dataclass
-class Example:
-    id: str
-    image: np.ndarray  # (H, W, C) float32, standardized
-    labels: np.ndarray  # sorted unique dictionary indices, non-empty
+@dataclass(eq=False)
+class Dataset:
+    """N examples as arrays: ids, images and CSR labels.
+
+    Row i's labels are label_flat[label_offsets[i] : label_offsets[i + 1]],
+    sorted unique non-negative dictionary indices, never empty.
+    """
+
+    ids: np.ndarray  # (N,) str
+    images: np.ndarray  # (N, H, W, C) float32, standardized
+    label_offsets: np.ndarray  # (N + 1,) int64, starts at 0
+    label_flat: np.ndarray  # (label_offsets[-1],) int64
+
+    def __post_init__(self):
+        off, flat = self.label_offsets, self.label_flat
+        if not (len(self.ids) == len(self.images) == len(off) - 1) or self.images.ndim != 4:
+            raise ValueError("ids, images and label offsets disagree")
+        if off[0] != 0 or off[-1] != flat.size or np.any(np.diff(off) < 1):
+            raise ValueError("every example needs at least one label")
+        rising = np.diff(flat) > 0
+        rising[off[1:-1] - 1] = True  # a row's first label may be lower than the last row's
+        if flat.size and (flat.min() < 0 or not rising.all()):
+            raise ValueError("labels must be sorted unique non-negative indices")
+
+    @classmethod
+    def from_labels(cls, ids, images, labels) -> "Dataset":
+        """Build from one label sequence per example."""
+        offsets = np.concatenate([[0], np.cumsum([len(row) for row in labels], dtype=np.int64)])
+        flat = np.concatenate(labels).astype(np.int64) if len(labels) else np.zeros(0, dtype=np.int64)
+        return cls(np.asarray(ids, dtype=str), np.asarray(images, dtype=np.float32), offsets, flat)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, rows) -> "Dataset":
+        """The examples at a slice or an index array, as a new Dataset."""
+        rows = np.arange(len(self))[rows]
+        if rows.ndim != 1:
+            raise TypeError("index a Dataset with a slice or an array of rows")
+        starts = self.label_offsets[rows]
+        lengths = self.label_offsets[rows + 1] - starts
+        offsets = np.concatenate([[0], np.cumsum(lengths)])
+        flat = self.label_flat[np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])]
+        return Dataset(self.ids[rows], self.images[rows], offsets, flat)
+
+    def labels_of(self, i: int) -> np.ndarray:
+        return self.label_flat[self.label_offsets[i] : self.label_offsets[i + 1]]
 
 
 @dataclass
@@ -102,10 +145,10 @@ def zipf_probs(k: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def generate_synthetic(cfg: SynthConfig) -> tuple[list[Example], Dictionary, np.ndarray]:
+def generate_synthetic(cfg: SynthConfig) -> tuple[Dataset, Dictionary, np.ndarray]:
     """Generate the synthetic dataset; pure function of cfg.
 
-    Returns (examples, dictionary, prototypes). Prototype row i is the
+    Returns (dataset, dictionary, prototypes). Prototype row i is the
     standardized prototype of dictionary word i, so labels index prototypes
     directly. The dictionary is built from the emitted captions with
     stop_count=0; ties in empirical counts resolve to ascending class order
@@ -147,20 +190,19 @@ def generate_synthetic(cfg: SynthConfig) -> tuple[list[Example], Dictionary, np.
         images[start:stop] = ((block - mean) / std).astype(np.float32)
 
     width = len(str(n - 1))
-    examples = []
-    for i in range(n):
-        labels = encode_targets(docs[i], dictionary)
-        examples.append(Example(id=f"ex{i:0{width}d}", image=images[i], labels=labels))
+    dataset = Dataset.from_labels(
+        [f"ex{i:0{width}d}" for i in range(n)], images, [encode_targets(doc, dictionary) for doc in docs]
+    )
 
     # permute prototypes into dictionary order and standardize like images
     by_word = {w: j for j, w in enumerate(words)}
     proto_out = np.stack(
         [standardize_image(prototypes[by_word[w]]) for w in dictionary.words]
     )
-    return examples, dictionary, proto_out
+    return dataset, dictionary, proto_out
 
 
-def nearest_prototype_precision(examples: list[Example], prototypes: np.ndarray) -> float:
+def nearest_prototype_precision(dataset: Dataset, prototypes: np.ndarray) -> float:
     """Precision@1 of the nearest-prototype classifier; Bayes-proxy ceiling.
 
     Assigns each image to the prototype with the smallest Euclidean
@@ -168,13 +210,14 @@ def nearest_prototype_precision(examples: list[Example], prototypes: np.ndarray)
     is among the example's labels.
     """
     flat_p = prototypes.reshape(len(prototypes), -1).astype(np.float64)
-    hits = 0
-    for ex in examples:
-        x = ex.image.reshape(-1).astype(np.float64)
-        d2 = np.square(flat_p - x).sum(axis=1)
-        if int(np.argmin(d2)) in set(int(l) for l in ex.labels):
-            hits += 1
-    return hits / len(examples)
+    x = dataset.images.reshape(len(dataset), 1, -1)
+    nearest = [  # 64 images at a time bounds the (64, K, H*W*C) differences
+        np.argmin(np.square(flat_p - x[start : start + 64].astype(np.float64)).sum(axis=2), axis=1)
+        for start in range(0, len(dataset), 64)
+    ]
+    # a row's labels are unique, so it matches its nearest class at most once
+    hits = np.repeat(np.concatenate(nearest), np.diff(dataset.label_offsets)) == dataset.label_flat
+    return int(hits.sum()) / len(dataset)
 
 
 def write_tensor_container(path: str, images_by_id: dict[str, np.ndarray]) -> None:
@@ -255,27 +298,28 @@ def read_captions_jsonl(path: str) -> list[dict]:
     return rows
 
 
-def load_dataset(
-    captions_path: str, tensor_path: str, dictionary: Dictionary
-) -> tuple[list[Example], int]:
+def load_dataset(captions_path: str, tensor_path: str, dictionary: Dictionary) -> tuple[Dataset, int]:
     """Join captions with the tensor container by id and encode labels.
 
     Examples whose caption has no in-dictionary words are dropped; the
     second return value is the drop count.
     """
     images, index = read_tensor_container(tensor_path)
-    examples = []
+    ids, ordinals, labels = [], [], []
     dropped = 0
     for row in read_captions_jsonl(captions_path):
         key = row["image"]
         if key not in index:
             raise MissingIdError(f"id not in container: {key}")
-        labels = encode_targets(normalize_text(row["caption"]), dictionary)
-        if labels.size == 0:
+        row_labels = encode_targets(normalize_text(row["caption"]), dictionary)
+        if row_labels.size == 0:
             dropped += 1
             continue
-        examples.append(Example(id=row["id"], image=images[index[key]], labels=labels))
-    return examples, dropped
+        ids.append(row["id"])
+        ordinals.append(index[key])
+        labels.append(row_labels)
+    rows = np.array(ordinals, dtype=np.int64)
+    return Dataset.from_labels(ids, images[rows], labels), dropped
 
 
 def stable_fraction(key: str, salt: str = "") -> float:

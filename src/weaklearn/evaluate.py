@@ -10,12 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .data import Example, stable_fraction
+from .data import Dataset, stable_fraction
 from .loss import softmax
 from .model import ModelParams, forward, score_subset
 from .textpipe import Dictionary
@@ -30,16 +30,7 @@ class EvalReport:
     n_skipped: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metric": self.metric,
-                "value": self.value,
-                "k": self.k,
-                "n_items": self.n_items,
-                "n_skipped": self.n_skipped,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass
@@ -70,12 +61,11 @@ class ProbeModel:
     lam: float  # selected regularization strength
 
 
-def _embed_chunks(params: ModelParams, dataset: list[Example], chunk: int = 512):
-    """Yield (examples, embeddings) for consecutive chunks of the dataset."""
+def _embed_chunks(params: ModelParams, dataset: Dataset, chunk: int = 512):
+    """Yield (start row, embeddings) for consecutive chunks of the dataset."""
     for start in range(0, len(dataset), chunk):
-        rows = dataset[start : start + chunk]
-        e, _ = forward(params, np.stack([ex.image for ex in rows]))
-        yield rows, e
+        e, _ = forward(params, dataset.images[start : start + chunk])
+        yield start, e
 
 
 def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -102,25 +92,21 @@ def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _top_k_hits(scores: np.ndarray, labels: list[np.ndarray], k: int) -> np.ndarray:
-    """Per row, how many of its labels fall in the row's top k."""
-    n_rows, n_classes = scores.shape
-    flat = np.concatenate(labels).astype(np.int64)
-    if flat.size and (flat.min() < 0 or flat.max() >= n_classes):
-        raise ValueError(f"label outside the {n_classes} scored classes")
-    rows = np.repeat(np.arange(n_rows), [len(l) for l in labels])
-    # unique (row, label) pairs, sorted by row; slot = position within the row
-    rows, flat = np.divmod(np.unique(rows * n_classes + flat), n_classes)
-    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
-    hits = np.zeros(n_rows, dtype=np.int64)
-    for s in range(int(slot.max(initial=-1)) + 1):
+def _top_k_hits(scores: np.ndarray, label_offsets: np.ndarray, label_flat: np.ndarray, k: int) -> np.ndarray:
+    """Per row i, how many of its labels label_flat[label_offsets[i] : label_offsets[i + 1]]
+    (sorted unique, as a Dataset holds them) fall in the row's top k."""
+    lengths = np.diff(label_offsets)
+    rows = np.repeat(np.arange(len(scores)), lengths)
+    slot = np.arange(rows.size) - np.repeat(label_offsets[:-1], lengths)  # position within the row
+    hits = np.zeros(len(scores), dtype=np.int64)
+    for s in range(int(lengths.max(initial=0))):
         in_slot = slot == s
         r = rows[in_slot]
-        hits[r] += _label_ranks(scores if r.size == n_rows else scores[r], flat[in_slot]) < k
+        hits[r] += _label_ranks(scores if r.size == len(scores) else scores[r], label_flat[in_slot]) < k
     return hits
 
 
-def precision_at_k(params: ModelParams, dataset: list[Example], k: int) -> EvalReport:
+def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
     """Mean over examples of |top-k predictions ∩ labels| / k.
 
     Top k is the _top_k_indices order, but no row is sorted: each label's
@@ -130,13 +116,17 @@ def precision_at_k(params: ModelParams, dataset: list[Example], k: int) -> EvalR
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if not dataset:
+    if not len(dataset):
         raise ValueError("empty dataset")
+    if dataset.label_flat.max() >= params.k:
+        raise ValueError(f"label outside the {params.k} scored classes")
     classes = np.arange(params.k, dtype=np.int64)
+    offsets, flat = dataset.label_offsets, dataset.label_flat
     total = 0.0
-    for rows, e in _embed_chunks(params, dataset):
+    for start, e in _embed_chunks(params, dataset):
         scores = score_subset(params, e, classes)
-        for hits in _top_k_hits(scores, [ex.labels for ex in rows], k).tolist():
+        chunk = offsets[start : start + len(e) + 1]
+        for hits in _top_k_hits(scores, chunk - chunk[0], flat[chunk[0] : chunk[-1]], k).tolist():
             total += hits / k
     return EvalReport(
         metric="precision_at_k",
@@ -147,7 +137,7 @@ def precision_at_k(params: ModelParams, dataset: list[Example], k: int) -> EvalR
     )
 
 
-def extract_features(params: ModelParams, dataset: list[Example], chunk: int = 512) -> np.ndarray:
+def extract_features(params: ModelParams, dataset: Dataset, chunk: int = 512) -> np.ndarray:
     """Penultimate representation f(x; theta) per example, shape (n, E)."""
     return np.concatenate([e for _, e in _embed_chunks(params, dataset, chunk)], axis=0)
 

@@ -77,6 +77,7 @@ def sampled_multiclass_loss(subset_logits: np.ndarray, positive_position: np.nda
 
     positive_position[i] indexes the single positive of row i within the
     subset; the partition runs over the subset, never the full dictionary.
+    Loss and d_logits equal multiclass_loss with a one-hot y, bit for bit.
     """
     subset_logits = np.asarray(subset_logits)
     pos = np.asarray(positive_position, dtype=np.int64)
@@ -84,9 +85,16 @@ def sampled_multiclass_loss(subset_logits: np.ndarray, positive_position: np.nda
         raise ValueError("one positive position per row required")
     if pos.size and (pos.min() < 0 or pos.max() >= subset_logits.shape[1]):
         raise ValueError("positive not in subset")
-    y = np.zeros_like(subset_logits)
-    y[np.arange(len(pos)), pos] = 1
-    return multiclass_loss(subset_logits, y)
+    batch = subset_logits.shape[0]
+    rows = np.arange(batch)
+    z, e, total = _shifted_exp(subset_logits)
+    # -0.0 is what multiclass_loss's 0 * (z - log total) gives off the positives,
+    # so the sum below is bitwise the same
+    terms = np.full(z.shape, -0.0)
+    terms[rows, pos] = z[rows, pos] - np.log(total)[:, 0]
+    p = (e / total).astype(subset_logits.dtype, copy=False)
+    p[rows, pos] -= 1
+    return LossGrad(loss=float(-terms.sum() / batch), d_logits=p / batch)
 
 
 def ova_loss(logits: np.ndarray, y: np.ndarray, n_total: int, n_pos: np.ndarray) -> LossGrad:

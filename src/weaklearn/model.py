@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -70,26 +70,11 @@ class ModelConfig:
         return _DTYPES[self.dtype]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_hwc": list(self.input_hwc),
-                "layers": [list(layer) for layer in self.layers],
-                "embed_dim": self.embed_dim,
-                "dtype": self.dtype,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ModelConfig":
-        obj = json.loads(text)
-        return cls(
-            input_hwc=tuple(obj["input_hwc"]),
-            layers=[tuple(layer) for layer in obj["layers"]],
-            embed_dim=int(obj["embed_dim"]),
-            dtype=obj["dtype"],
-        )
+        return cls(**json.loads(text))
 
 
 def _layer_shapes(cfg: ModelConfig):
@@ -130,14 +115,6 @@ class ModelParams:
     def n_params(self) -> int:
         total = sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
         return total + self.output_weights.size
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            config=self.config,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            output_weights=self.output_weights.copy(),
-        )
 
 
 def init_params(cfg: ModelConfig, k: int, seed) -> ModelParams:
@@ -337,8 +314,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
     """Read a WLCKPT1 checkpoint; returns (params, meta).
 
     meta carries rng_algo, rng_state, step and lr exactly as stored. Every
-    error starts with the path; a header error names its line, an array
-    error its array.
+    array must have the shape the config and k give it. Every error starts
+    with the path; a header error names its line, an array error its array.
     """
     with open(path, "rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -369,13 +346,18 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
             if len(raw) != n_bytes:
                 raise ValueError(f"{path}: array {name}: truncated, {len(raw)} of {n_bytes} bytes")
             named[name] = np.frombuffer(raw, dtype=cfg.np_dtype).reshape(shape).copy()
-    names = [f"layer{i}.{part}" for i in range(len(cfg.layers)) for part in ("weight", "bias")]
-    missing = [name for name in names + ["output.weight"] if name not in named]
-    if missing:
-        raise ValueError(f"{path}: missing array {missing[0]}")
-    layers = [named[name] for name in names]
-    params = ModelParams(cfg, weights=layers[0::2], biases=layers[1::2], output_weights=named["output.weight"])
-    if params.k != header["k"]:
-        raise ValueError(f"{path}: line 3: k={header['k']} but output.weight has {params.k} columns")
+    shapes = {}
+    for i, (_, w_shape, b_shape, _, _) in enumerate(_layer_shapes(cfg)):
+        shapes[f"layer{i}.weight"], shapes[f"layer{i}.bias"] = w_shape, b_shape
+    shapes["output.weight"] = (cfg.embed_dim, header["k"])
+    for name, shape in shapes.items():
+        if name not in named:
+            raise ValueError(f"{path}: missing array {name}")
+        if name == "output.weight" and named[name].shape[1:] != (header["k"],):
+            raise ValueError(f"{path}: line 3: k={header['k']} but output.weight has shape {named[name].shape}")
+        if named[name].shape != shape:
+            raise ValueError(f"{path}: array {name}: shape {named[name].shape}, config needs {shape}")
+    layers = [named[name] for name in shapes]
+    params = ModelParams(cfg, weights=layers[0:-1:2], biases=layers[1:-1:2], output_weights=layers[-1])
     meta = {key: header[key] for key in ("rng_algo", "rng_state", "step", "lr")}
     return params, meta

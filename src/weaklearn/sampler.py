@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Example
+from .data import Dataset
 
 RNG_ALGO = "numpy-pcg64"
 
@@ -23,9 +23,11 @@ def make_rng(seed) -> np.random.Generator:
 
 @dataclass
 class ClassIndex:
-    """Inverted index: members[k] lists the ordinals of examples labeled k."""
+    """CSR inverted index: members[offsets[k] : offsets[k + 1]] are the
+    ascending dataset ordinals of the examples labeled k."""
 
-    members: list[np.ndarray]
+    members: np.ndarray
+    offsets: np.ndarray  # (K + 1,)
     counts: np.ndarray  # N_k per class
     active_classes: np.ndarray  # classes with N_k > 0, ascending
 
@@ -38,20 +40,30 @@ class Batch:
     ordinals: np.ndarray  # (B,) dataset ordinals of the drawn examples
 
 
-def build_index(dataset: list[Example], num_classes: int | None = None) -> ClassIndex:
-    """Build the exact inverted index over example labels."""
-    if not dataset:
+def build_index(dataset: Dataset, num_classes: int | None = None, rows: np.ndarray | None = None) -> ClassIndex:
+    """Build the exact inverted index over the labels of the given row ordinals (default all).
+
+    Members are ordinals into the whole dataset, so a split indexes its
+    rows without copying their images.
+    """
+    owner = np.repeat(np.arange(len(dataset)), np.diff(dataset.label_offsets))
+    labels = dataset.label_flat
+    if rows is not None:
+        keep = np.isin(owner, rows)
+        owner, labels = owner[keep], labels[keep]
+    if labels.size == 0:
         raise ValueError("empty dataset")
     if num_classes is None:
-        num_classes = 1 + max(int(ex.labels.max()) for ex in dataset)
-    buckets: list[list[int]] = [[] for _ in range(num_classes)]
-    for ordinal, ex in enumerate(dataset):
-        for label in ex.labels:
-            buckets[int(label)].append(ordinal)
-    members = [np.array(b, dtype=np.int64) for b in buckets]
-    counts = np.array([len(b) for b in buckets], dtype=np.int64)
+        num_classes = 1 + int(labels.max())
+    elif labels.max() >= num_classes:
+        raise ValueError(f"label outside the {num_classes} classes")
+    # owners ascend, so a stable sort keeps each class's members ascending
+    members = owner[np.argsort(labels, kind="stable")]
+    counts = np.bincount(labels, minlength=num_classes)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     return ClassIndex(
         members=members,
+        offsets=offsets,
         counts=counts,
         active_classes=np.flatnonzero(counts > 0).astype(np.int64),
     )
@@ -61,7 +73,7 @@ def next_batch(
     index: ClassIndex,
     batch_size: int,
     rng: np.random.Generator,
-    dataset: list[Example],
+    dataset: Dataset,
 ) -> Batch:
     """Draw one class-balanced batch; advances rng in place.
 
@@ -75,13 +87,10 @@ def next_batch(
         raise ValueError("batch_size must be positive")
     classes = active[rng.integers(0, active.size, size=batch_size)]
     within = rng.integers(0, index.counts[classes])
-    ordinals = np.array(
-        [index.members[c][i] for c, i in zip(classes, within)], dtype=np.int64
-    )
-    images = np.stack([dataset[o].image for o in ordinals])
+    ordinals = index.members[index.offsets[classes] + within]
     return Batch(
-        images=images,
-        targets=classes.astype(np.int64),
-        present_classes=np.unique(classes).astype(np.int64),
+        images=dataset.images.take(ordinals, axis=0),
+        targets=classes,
+        present_classes=np.unique(classes),
         ordinals=ordinals,
     )

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Example, stable_fraction
+from .data import Dataset, stable_fraction
 from .evaluate import precision_at_k
 from .loss import multiclass_loss, ova_loss, sampled_multiclass_loss
 from .model import (
@@ -74,16 +74,13 @@ class StepGrads:
     w_cols: np.ndarray  # (E, |present_classes|)
 
 
-def split_dataset(
-    dataset: list[Example], validation_fraction: float
-) -> tuple[list[Example], list[Example]]:
-    """Split by stable hash of example id, independent of file order."""
-    train, val = [], []
-    for ex in dataset:
-        (val if stable_fraction(ex.id, salt="val-split") < validation_fraction else train).append(ex)
-    if not train or not val:
+def split_dataset(dataset: Dataset, validation_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """(train rows, validation rows), ascending, split by stable hash of example id
+    and so independent of file order."""
+    is_val = np.array([stable_fraction(i, salt="val-split") for i in dataset.ids.tolist()]) < validation_fraction
+    if is_val.all() or not is_val.any():
         raise ValueError("empty train or validation split")
-    return train, val
+    return np.flatnonzero(~is_val), np.flatnonzero(is_val)
 
 
 def _batch_grads(params: ModelParams, batch: Batch, cfg: TrainConfig, k: int):
@@ -120,7 +117,7 @@ def sgd_step(params: ModelParams, grads: StepGrads, present_classes: np.ndarray,
     return params
 
 
-def validation_error(params: ModelParams, val_dataset: list[Example], k: int | None = None) -> float:
+def validation_error(params: ModelParams, val_dataset: Dataset, k: int | None = None) -> float:
     """1 - precision@k on the validation set; k defaults to min(10, K-1)."""
     if k is None:
         k = max(1, min(10, params.k - 1))
@@ -129,7 +126,7 @@ def validation_error(params: ModelParams, val_dataset: list[Example], k: int | N
 
 def train(
     cfg: TrainConfig,
-    dataset: list[Example],
+    dataset: Dataset,
     model_cfg: ModelConfig,
     k: int | None = None,
     checkpoint_path: str | None = None,
@@ -143,8 +140,8 @@ def train(
     epoch and step, and no checkpoint is written.
     """
     if k is None:
-        k = 1 + max(int(ex.labels.max()) for ex in dataset)
-    train_set, val_set = split_dataset(dataset, cfg.validation_fraction)
+        k = 1 + int(dataset.label_flat.max())
+    train_rows, val_rows = split_dataset(dataset, cfg.validation_fraction)
     init_ss, sample_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init_params(model_cfg, k, init_ss)
     gen = make_rng(sample_ss)
@@ -152,7 +149,8 @@ def train(
     lr = cfg.lr_init
     step_count = 0
     if lr >= cfg.lr_floor and cfg.max_epochs > 0:
-        index = build_index(train_set, num_classes=k)
+        index = build_index(dataset, num_classes=k, rows=train_rows)
+        val_set = dataset[val_rows]
         steps_per_epoch = math.ceil(cfg.epoch_size / cfg.batch_size)
         prev_val = None
         epochs_at_lr = 0
@@ -160,7 +158,7 @@ def train(
             tick = time.perf_counter()
             loss_sum = 0.0
             for step in range(1, steps_per_epoch + 1):
-                batch = next_batch(index, cfg.batch_size, gen, train_set)
+                batch = next_batch(index, cfg.batch_size, gen, dataset)
                 loss_val, grads, classes = _batch_grads(params, batch, cfg, k)
                 if not math.isfinite(loss_val):
                     raise FloatingPointError(
@@ -197,17 +195,12 @@ def train(
             checkpoint_path,
             params,
             rng_algo=RNG_ALGO,
-            rng_state=_jsonable_rng_state(gen),
+            rng_state=json.loads(json.dumps(gen.bit_generator.state, default=int)),
             step=step_count,
             lr=lr,
         )
         log.checkpoint_path = checkpoint_path
     return params, log
-
-
-def _jsonable_rng_state(gen: np.random.Generator) -> dict:
-    state = gen.bit_generator.state
-    return json.loads(json.dumps(state, default=int))
 
 
 def save_trainlog(log: TrainLog, path: str) -> None:
@@ -273,9 +266,9 @@ def schedule_violations(records: list[dict], cfg: TrainConfig) -> list[str]:
 def gradient_check(model_cfg: ModelConfig, loss_kind: str, seed) -> float:
     """Compare analytic gradients against central finite differences.
 
-    Builds a small model (a few hundred parameters), perturbs every single
-    parameter by +-1e-4 in 64-bit, and returns the max relative error with
-    denominator max(|analytic|, |numeric|, 1e-8).
+    Builds a small model (a few hundred parameters) with random biases,
+    perturbs every single parameter by +-1e-4 in 64-bit, and returns the max
+    relative error with denominator max(|analytic|, |numeric|, 1e-8).
     """
     if model_cfg.dtype != "f64":
         raise ValueError("gradient check requires dtype f64")
@@ -287,6 +280,10 @@ def gradient_check(model_cfg: ModelConfig, loss_kind: str, seed) -> float:
     params = init_params(model_cfg, k, seed)
     if params.n_params() > 1000:
         raise ValueError("gradient check model exceeds 1000 parameters")
+    # init's zero biases can put a pre-activation exactly on the rectifier's
+    # kink, where central differences disagree with the analytic gradient
+    for bias in params.biases:
+        bias[...] = rng.uniform(-0.5, 0.5, size=bias.shape)
     images = rng.standard_normal((batch, *model_cfg.input_hwc))
     if loss_kind == "multiclass":
         y = np.zeros((batch, k))
@@ -300,19 +297,13 @@ def gradient_check(model_cfg: ModelConfig, loss_kind: str, seed) -> float:
     n_pos = y.sum(axis=0)
     classes = np.arange(k, dtype=np.int64)
 
-    def loss_of() -> float:
-        e, _ = forward(params, images)
+    def loss_of():
+        e, trace = forward(params, images)
         logits = score_subset(params, e, classes)
-        if loss_kind == "multiclass":
-            return multiclass_loss(logits, y).loss
-        return ova_loss(logits, y, batch, n_pos).loss
+        lg = multiclass_loss(logits, y) if loss_kind == "multiclass" else ova_loss(logits, y, batch, n_pos)
+        return lg, e, trace
 
-    e, trace = forward(params, images)
-    logits = score_subset(params, e, classes)
-    if loss_kind == "multiclass":
-        lg = multiclass_loss(logits, y)
-    else:
-        lg = ova_loss(logits, y, batch, n_pos)
+    lg, e, trace = loss_of()
     d_e, d_w_cols = score_subset_backward(params, e, classes, lg.d_logits)
     theta = backward(params, trace, d_e)
     analytic = {f"layer{i}.weight": dw for i, (dw, _) in enumerate(theta)}
@@ -327,9 +318,9 @@ def gradient_check(model_cfg: ModelConfig, loss_kind: str, seed) -> float:
         for idx in range(flat.size):
             saved = flat[idx]
             flat[idx] = saved + h
-            up = loss_of()
+            up = loss_of()[0].loss
             flat[idx] = saved - h
-            down = loss_of()
+            down = loss_of()[0].loss
             flat[idx] = saved
             numeric = (up - down) / (2 * h)
             a = float(grad.reshape(-1)[idx])

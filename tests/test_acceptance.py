@@ -17,7 +17,7 @@ import scipy.stats
 
 from conftest import record
 from util import score_examples, scorer_params
-from weaklearn.data import Example, SynthConfig, generate_synthetic, nearest_prototype_precision
+from weaklearn.data import Dataset, SynthConfig, generate_synthetic, nearest_prototype_precision
 from weaklearn.evaluate import (
     AnalogyQuestion,
     SimilarityPair,
@@ -53,11 +53,11 @@ def preset_bundle():
 def run_preset(preset_bundle, full_softmax):
     examples, dictionary, _ = preset_bundle
     cfg = TrainConfig(seed=0, full_softmax=full_softmax)
-    model_cfg = ModelConfig(input_hwc=examples[0].image.shape, **DEFAULT_MODEL)
+    model_cfg = ModelConfig(input_hwc=examples.images.shape[1:], **DEFAULT_MODEL)
     start = perf_counter()
     params, log = train(cfg, examples, model_cfg, k=dictionary.k)
     seconds = perf_counter() - start
-    _, val = split_dataset(examples, cfg.validation_fraction)
+    val = examples[split_dataset(examples, cfg.validation_fraction)[1]]
     return {"params": params, "log": log, "cfg": cfg, "seconds": seconds, "val": val}
 
 
@@ -156,12 +156,13 @@ def test_criterion_04_default_preset_reaches_target(preset_bundle, sampled_run):
 
 def test_criterion_05_sampler_is_class_balanced():
     sizes = [2, 6, 20, 60, 200, 600, 2000, 50, 10, 500]  # max/min spans 3 decades
-    dataset = []
+    ids, images, labels = [], [], []
     for cls, size in enumerate(sizes):
         for j in range(size):
-            dataset.append(Example(id=f"c{cls}e{j}",
-                                   image=np.full((1, 1, 1), float(cls), dtype=np.float32),
-                                   labels=np.array([cls])))
+            ids.append(f"c{cls}e{j}")
+            images.append(np.full((1, 1, 1), float(cls), dtype=np.float32))
+            labels.append([cls])
+    dataset = Dataset.from_labels(ids, images, labels)
     index = build_index(dataset, num_classes=len(sizes))
     rng = make_rng(5)
     counts = np.zeros(len(sizes), dtype=np.int64)
@@ -170,7 +171,7 @@ def test_criterion_05_sampler_is_class_balanced():
         batch = next_batch(index, 1000, rng, dataset)
         np.add.at(counts, batch.targets, 1)
         for ordinal, target in zip(batch.ordinals, batch.targets):
-            assert target in dataset[ordinal].labels
+            assert target in dataset.labels_of(ordinal)
     chi = scipy.stats.chisquare(counts)
     freqs = counts / draws
     record(
@@ -184,11 +185,11 @@ def test_criterion_05_sampler_is_class_balanced():
 def test_criterion_06_sparse_updates_match_dense_oracle():
     k = 20
     rng = np.random.default_rng(60)
-    dataset = [
-        Example(id=f"s{i}", image=rng.standard_normal((3, 3, 1)).astype(np.float32),
-                labels=np.array([i % 10]))
-        for i in range(400)
-    ]
+    dataset = Dataset.from_labels(
+        [f"s{i}" for i in range(400)],
+        [rng.standard_normal((3, 3, 1)).astype(np.float32) for i in range(400)],
+        [[i % 10] for i in range(400)],
+    )
     model_cfg = ModelConfig(input_hwc=(3, 3, 1), layers=[("fc", 16)], embed_dim=16)
     params = init_params(model_cfg, k, seed=3)
     init_w = params.output_weights.copy()

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from weaklearn.data import (
+    Dataset,
     DimensionMismatchError,
     MalformedHeaderError,
     MissingIdError,
@@ -78,18 +79,18 @@ def test_generator_is_deterministic():
     ex_b, dict_b, proto_b = generate_synthetic(cfg)
     assert dict_a.words == dict_b.words
     np.testing.assert_array_equal(proto_a, proto_b)
-    for a, b in zip(ex_a, ex_b):
-        assert a.id == b.id
-        assert a.image.tobytes() == b.image.tobytes()
-        np.testing.assert_array_equal(a.labels, b.labels)
+    assert ex_a.ids.tolist() == ex_b.ids.tolist()
+    assert ex_a.images.tobytes() == ex_b.images.tobytes()
+    np.testing.assert_array_equal(ex_a.label_offsets, ex_b.label_offsets)
+    np.testing.assert_array_equal(ex_a.label_flat, ex_b.label_flat)
 
 
 def test_noiseless_examples_equal_their_prototypes():
     cfg = SynthConfig(k=6, img_size=5, noise_sigma=0.0, n_examples=120, seed=9)
     examples, dictionary, protos = generate_synthetic(cfg)
     assert nearest_prototype_precision(examples, protos) == 1.0
-    for ex in examples[:20]:
-        np.testing.assert_allclose(ex.image, protos[int(ex.labels[0])], atol=1e-5)
+    for image, label in zip(examples.images[:20], examples.label_flat[examples.label_offsets[:-1]]):
+        np.testing.assert_allclose(image, protos[label], atol=1e-5)
 
 
 def test_labels_and_dictionary_agree():
@@ -97,23 +98,24 @@ def test_labels_and_dictionary_agree():
     examples, dictionary, protos = generate_synthetic(cfg)
     assert dictionary.k == 12
     assert protos.shape == (12, 3, 3, 1)
-    for ex in examples:
-        assert len(ex.labels) == 3  # chosen classes are distinct
-        assert np.array_equal(ex.labels, np.unique(ex.labels))
-        assert ex.labels.min() >= 0 and ex.labels.max() < 12
+    for i in range(len(examples)):
+        labels = examples.labels_of(i)
+        assert len(labels) == 3  # chosen classes are distinct
+        assert np.array_equal(labels, np.unique(labels))
+        assert labels.min() >= 0 and labels.max() < 12
 
 
 def test_flat_exponent_gives_uniform_classes():
     cfg = SynthConfig(k=10, img_size=2, zipf_exponent=0.0, n_examples=100_000, seed=2)
     examples, _, _ = generate_synthetic(cfg)
-    counts = np.bincount([int(ex.labels[0]) for ex in examples], minlength=10)
+    counts = np.bincount(examples.label_flat[examples.label_offsets[:-1]], minlength=10)
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_rank_frequency_slope_tracks_exponent():
     cfg = SynthConfig(k=100, img_size=2, zipf_exponent=1.0, n_examples=100_000, seed=6)
     examples, _, _ = generate_synthetic(cfg)
-    counts = np.bincount([int(ex.labels[0]) for ex in examples], minlength=100)
+    counts = np.bincount(examples.label_flat[examples.label_offsets[:-1]], minlength=100)
     counts = np.sort(counts)[::-1]
     counts = counts[counts > 0]
     slope = np.polyfit(np.log(np.arange(1, len(counts) + 1)), np.log(counts), 1)[0]
@@ -196,9 +198,67 @@ def test_load_dataset_drops_examples_without_labels(tmp_path):
     d = Dictionary(words=["red", "sky"], counts=np.array([2, 1]), stop_count=0)
     cap, ten, _ = _write_tiny_dataset(tmp_path, ["red sky", "red", "nothing known"])
     dataset, dropped = load_dataset(cap, ten, d)
-    assert [ex.id for ex in dataset] == ["ex0", "ex1"]
-    assert dataset[0].labels.tolist() == [0, 1]
+    assert dataset.ids.tolist() == ["ex0", "ex1"]
+    assert dataset.labels_of(0).tolist() == [0, 1]
     assert dropped == 1
+
+
+def test_load_dataset_gathers_images_by_container_id(tmp_path):
+    d = Dictionary(words=["red", "sky"], counts=np.array([2, 1]), stop_count=0)
+    cap, ten, images = _write_tiny_dataset(tmp_path, ["red sky", "red", "sky"])
+    write_captions_jsonl(cap, read_captions_jsonl(cap)[::-1])
+    dataset, _ = load_dataset(cap, ten, d)
+    assert dataset.ids.tolist() == ["ex2", "ex1", "ex0"]
+    assert dataset.images.tobytes() == np.stack([images[i] for i in dataset.ids]).tobytes()
+    assert dataset.label_offsets.tolist() == [0, 1, 2, 4]
+    assert dataset.label_flat.tolist() == [1, 0, 0, 1]
+
+
+def test_dataset_rows_and_validation():
+    dataset = Dataset.from_labels(
+        ["a", "b", "c"], np.arange(12, dtype=np.float32).reshape(3, 2, 2, 1), [[0, 2], [1], [0, 1, 3]]
+    )
+    assert len(dataset) == 3
+    assert dataset.labels_of(2).tolist() == [0, 1, 3]
+    for rows in (slice(1, None), np.array([2, 0]), np.array([True, False, True]), slice(None, None, -1)):
+        part = dataset[rows]
+        picked = np.arange(3)[rows]
+        assert part.ids.tolist() == dataset.ids[picked].tolist()
+        assert part.images.tobytes() == dataset.images[picked].tobytes()
+        assert [part.labels_of(i).tolist() for i in range(len(part))] == [
+            dataset.labels_of(i).tolist() for i in picked
+        ]
+    assert len(dataset[3:]) == 0
+    with pytest.raises(TypeError, match="slice or an array"):
+        dataset[0]
+    image = np.zeros((1, 1, 1, 1), dtype=np.float32)
+    for labels in ([[]], [[1, 1]], [[2, 1]], [[-1]]):
+        with pytest.raises(ValueError, match="label"):
+            Dataset.from_labels(["a"], image, labels)
+    with pytest.raises(ValueError, match="disagree"):
+        Dataset.from_labels(["a", "b"], image, [[0]])
+
+
+def reference_nearest_prototype_precision(dataset, prototypes):
+    """One example at a time, as the metric was first written."""
+    flat_p = prototypes.reshape(len(prototypes), -1).astype(np.float64)
+    hits = 0
+    for i in range(len(dataset)):
+        x = dataset.images[i].reshape(-1).astype(np.float64)
+        d2 = np.square(flat_p - x).sum(axis=1)
+        hits += int(np.argmin(d2)) in dataset.labels_of(i).tolist()
+    return hits / len(dataset)
+
+
+def test_nearest_prototype_precision_equals_per_example_loop():
+    cfg = SynthConfig(k=9, img_size=5, words_per_image=2, noise_sigma=2.0, n_examples=300, seed=12)
+    dataset, _, protos = generate_synthetic(cfg)
+    tied = protos.copy()
+    tied[4] = tied[3]  # equal distances go to the lower index
+    for prototypes in (protos, tied):
+        expected = reference_nearest_prototype_precision(dataset, prototypes)
+        assert 0.0 < expected < 1.0
+        assert nearest_prototype_precision(dataset, prototypes) == expected  # 300 rows: 5 chunks of 64
 
 
 def test_load_dataset_requires_known_ids(tmp_path):
@@ -214,25 +274,25 @@ def test_load_dataset_requires_known_ids(tmp_path):
 def test_generated_dataset_round_trips_through_files(tmp_path):
     cfg = SynthConfig(k=6, img_size=4, n_examples=40, seed=77)
     examples, dictionary, _ = generate_synthetic(cfg)
+    ids = examples.ids.tolist()
     rows = [
         {
-            "id": ex.id,
-            "caption": " ".join(dictionary.words[int(l)] for l in ex.labels),
-            "image": ex.id,
+            "id": ex_id,
+            "caption": " ".join(dictionary.words[int(l)] for l in examples.labels_of(i)),
+            "image": ex_id,
         }
-        for ex in examples
+        for i, ex_id in enumerate(ids)
     ]
     cap, ten = tmp_path / "captions.jsonl", tmp_path / "tensors.bin"
     write_captions_jsonl(str(cap), rows)
-    write_tensor_container(str(ten), {ex.id: ex.image for ex in examples})
+    write_tensor_container(str(ten), dict(zip(ids, examples.images)))
 
     loaded, dropped = load_dataset(str(cap), str(ten), dictionary)
     assert dropped == 0
-    assert len(loaded) == len(examples)
-    for orig, back in zip(examples, loaded):
-        assert orig.id == back.id
-        assert orig.image.tobytes() == back.image.tobytes()
-        np.testing.assert_array_equal(orig.labels, back.labels)
+    assert loaded.ids.tolist() == ids
+    assert loaded.images.tobytes() == examples.images.tobytes()
+    np.testing.assert_array_equal(loaded.label_offsets, examples.label_offsets)
+    np.testing.assert_array_equal(loaded.label_flat, examples.label_flat)
 
 
 def test_captions_reject_malformed_lines(tmp_path):

@@ -24,6 +24,7 @@ from weaklearn.evaluate import (
     spearman_similarity,
     translation_precision,
 )
+from weaklearn.data import Dataset
 from weaklearn.model import ModelConfig, forward, init_params
 from weaklearn.textpipe import Dictionary
 
@@ -79,7 +80,7 @@ def test_precision_at_k_validation():
     with pytest.raises(ValueError, match="k must be positive"):
         precision_at_k(params, dataset, k=0)
     with pytest.raises(ValueError, match="empty dataset"):
-        precision_at_k(params, [], k=1)
+        precision_at_k(params, score_examples(np.ones((0, 4)), []), k=1)
     with pytest.raises(ValueError, match="outside the 4 scored classes"):
         precision_at_k(params, score_examples(np.ones((1, 4)), [[1, 4]]), k=1)
 
@@ -96,9 +97,7 @@ def test_precision_at_k_equals_stable_argsort_oracle(seed, n_classes):
     n = 1025
     scores = rng.choice(_TIE_VALUES, size=(n, n_classes))
     labels = [rng.choice(n_classes, size=rng.integers(1, n_classes + 1), replace=False) for _ in range(n)]
-    dataset = score_examples(np.zeros((n, n_classes)), labels)
-    for ex, row in zip(dataset, scores):
-        ex.image = row.reshape(1, 1, -1)
+    dataset = score_examples(scores, labels)
     order = np.argsort(-scores, axis=1, kind="stable")
     with pytest.MonkeyPatch.context() as mp:
         # score rows are the images themselves, unclipped by any layer
@@ -116,9 +115,7 @@ def test_extract_features_matches_forward_per_example():
     params = init_params(cfg, k=4, seed=2)
     rng = np.random.default_rng(22)
     images = rng.standard_normal((7, 5, 5, 2)).astype(np.float32)
-    dataset = score_examples(np.ones((7, 4), dtype=np.float32), [[0]] * 7)
-    for ex, img in zip(dataset, images):
-        ex.image = img
+    dataset = Dataset.from_labels([f"ex{i}" for i in range(7)], images, [[0]] * 7)
     feats = extract_features(params, dataset, chunk=3)
     assert feats.shape == (7, 6)
     for i in range(7):

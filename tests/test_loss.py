@@ -167,15 +167,29 @@ def test_ova_rejects_degenerate_balance():
         ova_loss(np.zeros((2, 1)), y, n_total=2, n_pos=np.array([2]))
 
 
-def test_sampled_equals_full_when_subset_is_everything():
+@pytest.mark.parametrize(
+    "dtype, batch, n_classes, scale",
+    [
+        (np.float64, 4, 6, 1.0),
+        (np.float32, 4, 6, 1.0),
+        (np.float32, 128, 20, 3.0),
+        (np.float64, 1, 1, 1.0),
+        (np.float32, 300, 60, 10.0),
+        (np.float64, 17, 5, 1000.0),  # every non-max exp underflows to 0
+    ],
+    ids=["f64-4x6", "f32-4x6", "f32-128x20", "f64-1x1", "f32-300x60", "f64-17x5-underflow"],
+)
+def test_sampled_equals_full_when_subset_is_everything(dtype, batch, n_classes, scale):
     rng = np.random.default_rng(50)
-    logits = rng.standard_normal((4, 6))
-    positives = rng.integers(0, 6, size=4)
-    y = np.zeros((4, 6))
-    y[np.arange(4), positives] = 1.0
+    logits = (rng.standard_normal((batch, n_classes)) * scale).astype(dtype)
+    positives = rng.integers(0, n_classes, size=batch)
+    y = np.zeros((batch, n_classes), dtype=dtype)
+    y[np.arange(batch), positives] = 1.0
     full = multiclass_loss(logits, y)
     sub = sampled_multiclass_loss(logits, positives)
+    assert repr(sub.loss) == repr(full.loss)
     assert sub.loss == full.loss
+    assert sub.d_logits.dtype == full.d_logits.dtype == dtype
     np.testing.assert_array_equal(sub.d_logits, full.d_logits)
 
 

@@ -321,6 +321,10 @@ CHECKPOINT_DAMAGE = {
     ),
     "k mismatch": (lambda raw: raw.replace(b"\nk=6\n", b"\nk=7\n", 1), "line 3"),
     "dtype mismatch": (lambda raw: raw.replace(b"\ndtype=f32\n", b"\ndtype=f64\n", 1), "line 4"),
+    "array shape disagrees with config": (
+        lambda raw: raw.replace(b"shape=12,7 ", b"shape=7,12 ", 1),
+        "array layer1.weight: shape (7, 12), config needs (12, 7)",
+    ),
 }
 
 

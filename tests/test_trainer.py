@@ -29,7 +29,7 @@ def small_preset(n=300, k=6, seed=3, noise=0.0):
     cfg = SynthConfig(k=k, img_size=4, noise_sigma=noise, n_examples=n, seed=seed)
     examples, dictionary, _ = generate_synthetic(cfg)
     model_cfg = ModelConfig(
-        input_hwc=examples[0].image.shape, layers=[("fc", 16)], embed_dim=16
+        input_hwc=examples.images.shape[1:], layers=[("fc", 16)], embed_dim=16
     )
     return examples, dictionary, model_cfg
 
@@ -121,11 +121,13 @@ def test_split_dataset_is_stable_and_disjoint():
     rng = np.random.default_rng(16)
     dataset = random_single_label_dataset(500, 4, rng)
     train_a, val_a = split_dataset(dataset, 0.2)
-    train_b, val_b = split_dataset(list(reversed(dataset)), 0.2)
-    assert {ex.id for ex in train_a}.isdisjoint({ex.id for ex in val_a})
-    assert {ex.id for ex in train_a} == {ex.id for ex in train_b}
-    assert {ex.id for ex in val_a} == {ex.id for ex in val_b}
+    reversed_ids = dataset.ids[::-1]
+    train_b, val_b = split_dataset(dataset[::-1], 0.2)
+    assert set(dataset.ids[train_a]).isdisjoint(set(dataset.ids[val_a]))
+    assert set(dataset.ids[train_a]) == set(reversed_ids[train_b])
+    assert set(dataset.ids[val_a]) == set(reversed_ids[val_b])
     assert 0.1 < len(val_a) / len(dataset) < 0.3
+    assert np.all(np.diff(train_a) > 0) and np.all(np.diff(val_a) > 0)
 
     lonely = random_single_label_dataset(1, 2, rng)
     with pytest.raises(ValueError, match="empty train or validation split"):
@@ -181,7 +183,7 @@ def test_train_writes_checkpoint_with_rng_state(tmp_path):
 def test_non_finite_loss_stops_training_without_checkpoint(tmp_path):
     examples, dictionary, _ = generate_synthetic(SynthConfig())
     model_cfg = ModelConfig(
-        input_hwc=examples[0].image.shape, layers=[("fc", 64), ("fc", 64)], embed_dim=64
+        input_hwc=examples.images.shape[1:], layers=[("fc", 64), ("fc", 64)], embed_dim=64
     )
     ckpt = tmp_path / "checkpoint.wlckpt"
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match=r"epoch 1, step \d+ of 79"):
@@ -193,7 +195,7 @@ def test_trained_model_beats_chance_quickly():
     examples, dictionary, model_cfg = small_preset(n=600, noise=0.3)
     cfg = TrainConfig(seed=9, epoch_size=2000, max_epochs=5, batch_size=64)
     params, _ = train(cfg, examples, model_cfg, k=dictionary.k)
-    _, val = split_dataset(examples, 0.2)
+    val = examples[split_dataset(examples, 0.2)[1]]
     assert validation_error(params, val, k=1) < 0.2  # chance would be ~0.83
 
 
@@ -269,6 +271,15 @@ def test_gradient_check_both_losses():
     )
     assert gradient_check(cfg, "multiclass", seed=1) < 1e-5
     assert gradient_check(cfg, "one_vs_all", seed=1) < 1e-5
+    # two stacked convs: on zero biases an all-zero pooled patch sat on the rectifier's kink
+    stacked = ModelConfig(
+        input_hwc=(6, 6, 1),
+        layers=[("conv", 2, 2), ("conv", 2, 2), ("fc", 5), ("fc", 4)],
+        embed_dim=4,
+        dtype="f64",
+    )
+    errors = [gradient_check(stacked, "multiclass", seed=seed) for seed in range(8)]
+    assert max(errors) < 1e-5, errors
     with pytest.raises(ValueError, match="requires dtype f64"):
         gradient_check(ModelConfig(input_hwc=(2, 2, 1), layers=[("fc", 2)], embed_dim=2), "multiclass", 0)
 

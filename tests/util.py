@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from weaklearn.data import Example
+from weaklearn.data import Dataset
 from weaklearn.model import ModelConfig, ModelParams
 
 
@@ -23,26 +23,18 @@ def scorer_params(k: int, dtype: str = "f32") -> ModelParams:
     )
 
 
-def score_examples(scores, labels_list) -> list[Example]:
-    """Examples whose images are raw score vectors for scorer_params."""
+def score_examples(scores, labels_list) -> Dataset:
+    """A Dataset whose images are raw score vectors for scorer_params."""
     scores = np.asarray(scores, dtype=np.float32)
-    out = []
-    for i, (row, labels) in enumerate(zip(scores, labels_list)):
-        out.append(
-            Example(
-                id=f"ex{i:04d}",
-                image=row.reshape(1, 1, -1).astype(np.float32),
-                labels=np.array(sorted(set(int(l) for l in labels)), dtype=np.int64),
-            )
-        )
-    return out
+    return Dataset.from_labels(
+        [f"ex{i:04d}" for i in range(len(scores))],
+        scores.reshape(len(scores), 1, 1, scores.shape[1]),
+        [sorted(set(int(l) for l in labels)) for labels in labels_list],
+    )
 
 
-def random_single_label_dataset(n: int, k: int, rng: np.random.Generator) -> list[Example]:
+def random_single_label_dataset(n: int, k: int, rng: np.random.Generator) -> Dataset:
     """n tiny random images, each with one uniform random label."""
     labels = rng.integers(0, k, size=n)
     images = rng.standard_normal((n, 2, 2, 1)).astype(np.float32)
-    return [
-        Example(id=f"ex{i:04d}", image=images[i], labels=np.array([labels[i]], dtype=np.int64))
-        for i in range(n)
-    ]
+    return Dataset.from_labels([f"ex{i:04d}" for i in range(n)], images, labels[:, None])
