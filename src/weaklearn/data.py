@@ -319,7 +319,8 @@ def load_dataset(captions_path: str, tensor_path: str, dictionary: Dictionary) -
         ordinals.append(index[key])
         labels.append(row_labels)
     rows = np.array(ordinals, dtype=np.int64)
-    return Dataset.from_labels(ids, images[rows], labels), dropped
+    in_order = np.array_equal(rows, np.arange(len(images)))  # then the container's array is used, not copied
+    return Dataset.from_labels(ids, images if in_order else images[rows], labels), dropped
 
 
 def stable_fraction(key: str, salt: str = "") -> float:
