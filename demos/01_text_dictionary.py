@@ -37,6 +37,6 @@ for i, (word, count) in enumerate(zip(dictionary.words, dictionary.counts)):
 print("\nper-caption class targets (dictionary indices of present words)")
 for tokens in tokenized:
     labels = encode_targets(tokens, dictionary)
-    print(f"  {str(labels.tolist()):14} {tokens}")
+    print(f"  {str(labels):14} {tokens}")
 print("\ncaptions whose words all fell outside the dictionary come out empty")
 print("and are dropped before training.")

@@ -9,6 +9,7 @@ an id index, so datasets round-trip bit-exactly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -62,9 +63,9 @@ class Dataset:
 
     @classmethod
     def from_labels(cls, ids, images, labels) -> "Dataset":
-        """Build from one label sequence per example."""
+        """Build from one label sequence (list or array) per example."""
         offsets = np.concatenate([[0], np.cumsum([len(row) for row in labels], dtype=np.int64)])
-        flat = np.concatenate(labels).astype(np.int64) if len(labels) else np.zeros(0, dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(labels), dtype=np.int64, count=offsets[-1])
         return cls(np.asarray(ids, dtype=str), np.asarray(images, dtype=np.float32), offsets, flat)
 
     def __len__(self) -> int:
@@ -312,7 +313,7 @@ def load_dataset(captions_path: str, tensor_path: str, dictionary: Dictionary) -
         if key not in index:
             raise MissingIdError(f"id not in container: {key}")
         row_labels = encode_targets(normalize_text(row["caption"]), dictionary)
-        if row_labels.size == 0:
+        if not row_labels:
             dropped += 1
             continue
         ids.append(row["id"])

@@ -152,12 +152,20 @@ def _im2col(x: np.ndarray, ks: int) -> np.ndarray:
     return np.ascontiguousarray(windows).reshape(b, ho, wo, -1)
 
 
-def _pool_windows(a: np.ndarray) -> np.ndarray:
-    """(B,H,W,C) -> (B,Hp,Wp,4,C) full 2x2 windows; odd edges truncated."""
-    b, h, w, c = a.shape
-    hp, wp = h // 2, w // 2
-    trimmed = a[:, : hp * 2, : wp * 2, :]
-    return trimmed.reshape(b, hp, 2, wp, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, hp, wp, 4, c)
+def _corners(a: np.ndarray) -> list[np.ndarray]:
+    """(B,H,W,C) -> the four (B,Hp,Wp,C) strided views of its 2x2 windows' corners.
+
+    Window order (0,0), (0,1), (1,0), (1,1); an odd last row or column is dropped.
+    """
+    hp, wp = a.shape[1] // 2, a.shape[2] // 2
+    return [a[:, r : 2 * hp : 2, s : 2 * wp : 2] for r in (0, 1) for s in (0, 1)]
+
+
+def _max_pool(corners: list[np.ndarray]) -> np.ndarray:
+    pooled = np.maximum(corners[0], corners[1])
+    np.maximum(pooled, corners[2], out=pooled)
+    np.maximum(pooled, corners[3], out=pooled)
+    return pooled
 
 
 def forward(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
@@ -172,12 +180,13 @@ def forward(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, Forwar
         if layer[0] == "conv":
             cols = _im2col(x, layer[1])
             trace.inputs.append(cols)
-            z = cols @ w.reshape(-1, w.shape[-1]) + b
+            z = cols @ w.reshape(-1, w.shape[-1])
+            z += b
             trace.pre_acts.append(z)
             x = np.maximum(z, 0)
             trace.pooled.append(x.shape[1] >= 2 and x.shape[2] >= 2)
             if trace.pooled[-1]:
-                x = _pool_windows(x).max(axis=3)
+                x = _max_pool(_corners(x))
         else:
             x = x.reshape(x.shape[0], -1)
             trace.inputs.append(x)
@@ -222,7 +231,10 @@ def backward(
     Returns [(d_weight, d_bias)] per layer in declaration order. Exact
     analytic gradient of whatever scalar produced d_embeddings; the
     rectifier passes gradient only where the pre-activation is > 0, and
-    max-pool routes gradient to the first maximum of each window.
+    max-pool routes gradient to the first maximum of each window in window
+    order (0,0), (0,1), (1,0), (1,1). Activations must be finite: a NaN
+    never equals the window maximum, so its window would get no gradient
+    (train stops on a non-finite loss before that matters).
     """
     cfg = params.config
     if d_embeddings.shape[0] != trace.batch:
@@ -236,18 +248,16 @@ def backward(
         if cfg.layers[i][0] == "fc":
             d_a = d_x
         elif trace.pooled[i]:
-            wins = _pool_windows(np.maximum(z, 0))
-            b, hp, wp, _, c = wins.shape
-            arg = wins.argmax(axis=3)
-            d_wins = np.zeros_like(wins)
-            d_pooled = d_x.reshape(b, hp, wp, 1, c)
-            np.put_along_axis(d_wins, arg[:, :, :, None, :], d_pooled, axis=3)
+            corners = _corners(np.maximum(z, 0))
+            pooled = _max_pool(corners)
+            d_pooled = d_x.reshape(pooled.shape)
             d_a = np.zeros_like(z)
-            d_a[:, : hp * 2, : wp * 2, :] = (
-                d_wins.reshape(b, hp, wp, 2, 2, c)
-                .transpose(0, 1, 3, 2, 4, 5)
-                .reshape(b, hp * 2, wp * 2, c)
-            )
+            free = np.ones(pooled.shape, dtype=bool)  # windows whose maximum is not yet taken
+            for corner, d_corner in zip(corners, _corners(d_a)):
+                hit = corner == pooled
+                hit &= free
+                free ^= hit
+                d_corner[...] = d_pooled * hit + 0.0  # + 0.0 turns -0.0 (negative * False) into +0.0
         else:
             d_a = d_x.reshape(z.shape)
         d_z = d_a * (z > 0)

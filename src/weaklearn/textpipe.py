@@ -33,8 +33,10 @@ def normalize_text(text: str) -> list[str]:
     every remaining character that is not a basic Latin letter or
     whitespace, then splits on whitespace.
     """
-    text = unicodedata.normalize("NFD", text.lower())
-    text = "".join(c for c in text if not unicodedata.combining(c))
+    text = text.lower()
+    if not text.isascii():  # ASCII text is its own NFD form and has no combining marks
+        text = unicodedata.normalize("NFD", text)
+        text = "".join(c for c in text if not unicodedata.combining(c))
     text = _SPLITTERS.sub(" ", text)
     text = _DROPPED.sub("", text)
     return text.split()
@@ -113,11 +115,10 @@ def build_dictionary(docs: Iterable[list[str]], k: int, stop_count: int) -> Dict
     return dictionary_from_counts(count_tokens(docs), k, stop_count)
 
 
-def encode_targets(tokens: list[str], dictionary: Dictionary) -> np.ndarray:
+def encode_targets(tokens: list[str], dictionary: Dictionary) -> list[int]:
     """Map a tokenized doc to sorted unique class indices; unknown words are skipped."""
     w2i = dictionary.word_to_index
-    hits = {w2i[t] for t in tokens if t in w2i}
-    return np.array(sorted(hits), dtype=np.int64)
+    return sorted({w2i[t] for t in tokens if t in w2i})
 
 
 def save_dictionary(dictionary: Dictionary, path: str) -> None:

@@ -6,6 +6,7 @@ import pytest
 from weaklearn.model import (
     ModelConfig,
     ModelParams,
+    _im2col,
     backward,
     forward,
     init_params,
@@ -266,6 +267,104 @@ def test_odd_spatial_edges_are_truncated_by_pooling():
     # conv gives 5x5, the pool keeps the even 4x4 region -> 2x2 cells
     assert trace.pre_acts[0].shape == (1, 5, 5, 1)
     assert trace.inputs[1].shape == (1, 4)
+
+
+def reference_pool_windows(a: np.ndarray) -> np.ndarray:
+    """(B,H,W,C) -> (B,Hp,Wp,4,C) full 2x2 windows; odd edges truncated."""
+    b, h, w, c = a.shape
+    hp, wp = h // 2, w // 2
+    trimmed = a[:, : hp * 2, : wp * 2, :]
+    return trimmed.reshape(b, hp, 2, wp, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, hp, wp, 4, c)
+
+
+def reference_pool_route(params: ModelParams, images: np.ndarray, d_embeddings: np.ndarray):
+    """Forward and backward through the windowed argmax + put_along_axis max-pool.
+
+    The same arithmetic as model.forward/backward everywhere but the pool;
+    returns (embeddings, [(d_weight, d_bias)] per layer).
+    """
+    cfg = params.config
+    x = images.astype(cfg.np_dtype)
+    saved = []
+    for layer, w, b in zip(cfg.layers, params.weights, params.biases):
+        x = _im2col(x, layer[1]) if layer[0] == "conv" else x.reshape(x.shape[0], -1)
+        z = x @ w.reshape(-1, w.shape[-1]) + b
+        pooled = layer[0] == "conv" and z.shape[1] >= 2 and z.shape[2] >= 2
+        saved.append((x, z, pooled))
+        x = np.maximum(z, 0)
+        if pooled:
+            x = reference_pool_windows(x).max(axis=3)
+    embeddings = x
+    grads = [None] * len(cfg.layers)
+    d_x = d_embeddings.astype(cfg.np_dtype)
+    for i in range(len(cfg.layers) - 1, -1, -1):
+        w = params.weights[i]
+        cols, z, pooled = saved[i]
+        if pooled:
+            wins = reference_pool_windows(np.maximum(z, 0))
+            b, hp, wp, _, c = wins.shape
+            d_wins = np.zeros_like(wins)
+            arg = wins.argmax(axis=3)[:, :, :, None, :]
+            np.put_along_axis(d_wins, arg, d_x.reshape(b, hp, wp, 1, c), axis=3)
+            d_a = np.zeros_like(z)
+            d_a[:, : hp * 2, : wp * 2, :] = (
+                d_wins.reshape(b, hp, wp, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, hp * 2, wp * 2, c)
+            )
+        else:
+            d_a = d_x.reshape(z.shape)
+        d_z = (d_a * (z > 0)).reshape(-1, z.shape[-1])
+        grads[i] = ((cols.reshape(-1, cols.shape[-1]).T @ d_z).reshape(w.shape), d_z.sum(axis=0))
+        if i == 0:
+            break
+        d_x = d_z @ w.reshape(-1, w.shape[-1]).T
+        if cfg.layers[i][0] == "conv":
+            ks, _, c_in, _ = w.shape
+            b, ho, wo, _ = z.shape
+            d_cols = d_x.reshape(b, ho, wo, ks, ks, c_in)
+            d_x = np.zeros((b, ho + ks - 1, wo + ks - 1, c_in), dtype=d_cols.dtype)
+            for r in range(ks):
+                for s in range(ks):
+                    d_x[:, r : r + ho, s : s + wo, :] += d_cols[:, :, :, r, s, :]
+    return embeddings, grads
+
+
+POOL_ROUTE_CASES = {  # input (H, W, C), layers; the comments give each conv's output size
+    "even": ((8, 8, 1), [("conv", 3, 4), ("fc", 6)]),  # 6x6
+    "odd-edges": ((8, 8, 2), [("conv", 2, 3), ("fc", 6)]),  # 7x7
+    "stacked-7x7": ((7, 7, 1), [("conv", 2, 3), ("conv", 2, 3), ("fc", 6)]),  # 6x6, 2x2
+    "stacked-16x16": ((16, 16, 1), [("conv", 5, 4), ("conv", 2, 4), ("fc", 8), ("fc", 6)]),  # 12x12, 5x5
+}
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("case", sorted(POOL_ROUTE_CASES))
+def test_pool_route_matches_argmax_reference_bytes(case, dtype, tied):
+    input_hwc, layers = POOL_ROUTE_CASES[case]
+    cfg = ModelConfig(input_hwc=input_hwc, layers=layers, embed_dim=layers[-1][1], dtype=dtype)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        params = init_params(cfg, k=3, seed=seed)
+        for bias in params.biases:
+            bias[...] = rng.uniform(-0.5, 0.5, size=bias.shape)
+        images = rng.standard_normal((5, *input_hwc))
+        if tied:  # halves in inputs, weights and biases make equal window maxima common
+            images = np.round(images * 2) / 2
+            for arr in params.weights + params.biases:
+                arr[...] = np.round(arr * 4) / 2
+        d_e = rng.standard_normal((5, cfg.embed_dim))
+        e, trace = forward(params, images)
+        grads = backward(params, trace, d_e)
+        ref_e, ref_grads = reference_pool_route(params, images, d_e)
+        assert e.tobytes() == ref_e.tobytes(), f"seed {seed}"
+        for i, ((dw, db), (ref_dw, ref_db)) in enumerate(zip(grads, ref_grads)):
+            assert dw.dtype == ref_dw.dtype == cfg.np_dtype
+            assert dw.tobytes() == ref_dw.tobytes(), f"seed {seed} layer {i} weight"
+            assert db.tobytes() == ref_db.tobytes(), f"seed {seed} layer {i} bias"
+        if tied:  # some window's positive maximum is shared, so the route's order is tested
+            wins = reference_pool_windows(np.maximum(trace.pre_acts[0], 0))
+            top = wins.max(axis=3, keepdims=True)
+            assert ((wins == top) & (top > 0)).sum(axis=3).max() > 1
 
 
 def test_backward_rejects_mismatched_trace():

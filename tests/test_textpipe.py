@@ -74,6 +74,17 @@ def test_normalize_known_captions():
     assert normalize_text("Ümlaut-test... A1B2") == ["umlaut", "test", "ab"]
 
 
+def test_normalize_folds_non_ascii_beside_ascii():
+    cases = {
+        "İstanbul café": ["istanbul", "cafe"],  # dotted capital I lowers to i + combining dot
+        "ﬁsh and chips": ["sh", "and", "chips"],  # the fi ligature has no canonical decomposition
+        "Å ring": ["a", "ring"],
+        "\u212bngstrom \u212aelvin": ["angstrom", "kelvin"],  # the Angstrom and Kelvin signs
+    }
+    for text, tokens in cases.items():
+        assert normalize_text(text) == tokens == reference_normalize(text), repr(text)
+
+
 def test_normalize_splits_on_hyphen_slash_underscore():
     assert normalize_text("foo-bar") == ["foo", "bar"]
     assert normalize_text("foo/bar_baz") == ["foo", "bar", "baz"]
@@ -176,8 +187,8 @@ def test_dictionary_validates_order():
 
 def test_encode_targets_known_cases():
     d = Dictionary(words=["b", "c"], counts=np.array([3, 2]), stop_count=0)
-    assert encode_targets(["b", "c", "z", "b"], d).tolist() == [0, 1]
-    assert encode_targets(["z"], d).tolist() == []
+    assert encode_targets(["b", "c", "z", "b"], d) == [0, 1]
+    assert encode_targets(["z"], d) == []
 
 
 def test_encode_targets_matches_membership_scan():
@@ -186,7 +197,7 @@ def test_encode_targets_matches_membership_scan():
     d = build_dictionary([pool[:6] * 2 + pool[:3]], k=6, stop_count=0)
     for _ in range(50):
         doc = [pool[i] for i in rng.integers(0, len(pool), size=rng.integers(0, 8))]
-        got = encode_targets(doc, d).tolist()
+        got = encode_targets(doc, d)
         expected = sorted({i for i, w in enumerate(d.words) if w in doc})
         assert got == expected
         assert len(set(got)) == len(got)
