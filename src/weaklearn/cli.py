@@ -11,6 +11,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -67,18 +68,15 @@ def _log_resolved(args: argparse.Namespace) -> None:
 
 def parse_layers(spec) -> list[tuple]:
     """Layer spec from "conv:3:8,fc:64" strings or JSON-style nested lists."""
-    if isinstance(spec, str):
-        layers = []
-        for chunk in spec.split(","):
-            parts = chunk.strip().split(":")
-            if parts[0] == "fc" and len(parts) == 2:
-                layers.append(("fc", int(parts[1])))
-            elif parts[0] == "conv" and len(parts) == 3:
-                layers.append(("conv", int(parts[1]), int(parts[2])))
-            else:
-                raise ValueError(f"bad layer spec: {chunk!r}")
-        return layers
-    return [(item[0], *map(int, item[1:])) for item in spec]
+    if not isinstance(spec, str):  # a list is read as the string it spells, so 8.9 is no width
+        spec = ",".join(":".join(map(str, item)) for item in spec)
+    layers = []
+    for chunk in spec.split(","):
+        kind, *sizes = chunk.strip().split(":")
+        if (kind, len(sizes)) not in (("fc", 1), ("conv", 2)) or not all(s.strip().isdecimal() for s in sizes):
+            raise ValueError(f"bad layer spec: {chunk!r}")
+        layers.append((kind, *map(int, sizes)))
+    return layers
 
 
 def _coerce(value: str):
@@ -141,28 +139,52 @@ def _cmd_build_dict(args) -> int:
     return 0
 
 
-# every TrainConfig field has a default, whose type converts config-file values
+# every TrainConfig field has a default, whose type a config-file value must have
 _TRAIN_KEYS = {f.name: type(f.default) for f in dataclasses.fields(TrainConfig)}
+_MODEL_KEYS = {"layers": (str, list), "embed_dim": int, "dtype": str}
+
+
+def _config_section(file_cfg: dict, path: str, name: str, types: dict) -> dict:
+    """One section of a config file, each value checked against its key's type.
+
+    A float key also takes an int (as a float); only a bool key takes a bool.
+    An unknown key or a value of another type is an error naming the file and key.
+    """
+    section = file_cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"{path}: {name}: expected a section of keys, got {section!r}")
+    checked = {}
+    for key, value in section.items():
+        if key not in types:
+            raise ValueError(f"{path}: {name}.{key}: unknown key, expected one of {sorted(types)}")
+        want = types[key]
+        if want is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, want) or (type(value) is bool and want is not bool):
+            expected = " or ".join(t.__name__ for t in (want if isinstance(want, tuple) else (want,)))
+            raise ValueError(f"{path}: {name}.{key}: expected {expected}, got {value!r}")
+        checked[key] = value
+    return checked
 
 
 def _cmd_train(args) -> int:
     file_cfg = load_config_file(args.config) if args.config else {}
-    train_section = dict(file_cfg.get("train", {}))
-    model_section = dict(file_cfg.get("model", {}))
+    unknown = set(file_cfg) - {"train", "model"}
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config sections: {sorted(unknown)}")
+    train_section = _config_section(file_cfg, args.config, "train", _TRAIN_KEYS)
+    model_section = _config_section(file_cfg, args.config, "model", _MODEL_KEYS)
     for key in _TRAIN_KEYS:
         if getattr(args, key, None) is not None:
             train_section[key] = getattr(args, key)
-    unknown = set(train_section) - set(_TRAIN_KEYS)
-    if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    cfg = TrainConfig(**{k: _TRAIN_KEYS[k](v) for k, v in train_section.items()})
+    cfg = TrainConfig(**train_section)
 
     dictionary, dataset, dropped = _load_data_dir(args.data_dir)
     model_cfg = ModelConfig(
         input_hwc=dataset.images.shape[1:],
         layers=parse_layers(model_section.get("layers", "fc:64,fc:64")),
-        embed_dim=int(model_section.get("embed_dim", 64)),
-        dtype=str(model_section.get("dtype", "f32")),
+        embed_dim=model_section.get("embed_dim", 64),
+        dtype=model_section.get("dtype", "f32"),
     )
     merged = {"train": dataclasses.asdict(cfg), "model": json.loads(model_cfg.to_json())}
     print("config " + json.dumps(merged, sort_keys=True), file=sys.stderr)
@@ -227,7 +249,15 @@ def _cmd_eval_probe(args) -> int:
     return 0
 
 
-def _read_token_lines(path: str, n_tokens: int) -> list[list[str]]:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text}")
+    return value
+
+
+def _read_token_lines(path: str, kinds: tuple) -> list[list]:
+    """Whitespace-separated fields, one converter in kinds (str or _finite_float) per field."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -235,16 +265,19 @@ def _read_token_lines(path: str, n_tokens: int) -> list[list[str]]:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != n_tokens:
-                raise ValueError(f"{path}: line {lineno}: expected {n_tokens} fields, got {len(parts)}")
-            out.append(parts)
+            if len(parts) != len(kinds):
+                raise ValueError(f"{path}: line {lineno}: expected {len(kinds)} fields, got {len(parts)}")
+            try:
+                out.append([kind(part) for kind, part in zip(kinds, parts)])
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: not a finite number in {line!r}") from None
     return out
 
 
 def _cmd_eval_analogy(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
     dictionary = load_dictionary(args.dict)
-    questions = [AnalogyQuestion(*parts) for parts in _read_token_lines(args.questions, 4)]
+    questions = [AnalogyQuestion(*parts) for parts in _read_token_lines(args.questions, (str,) * 4)]
     report = analogy_accuracy(params.output_weights, questions, dictionary)
     print(report.to_json())
     return 0
@@ -253,10 +286,7 @@ def _cmd_eval_analogy(args) -> int:
 def _cmd_eval_sim(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
     dictionary = load_dictionary(args.dict)
-    pairs = [
-        SimilarityPair(parts[0], parts[1], float(parts[2]))
-        for parts in _read_token_lines(args.pairs, 3)
-    ]
+    pairs = [SimilarityPair(*parts) for parts in _read_token_lines(args.pairs, (str, str, _finite_float))]
     report = spearman_similarity(params.output_weights, pairs, dictionary)
     print(report.to_json())
     return 0
@@ -265,7 +295,7 @@ def _cmd_eval_sim(args) -> int:
 def _cmd_eval_translate(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
     dictionary = load_dictionary(args.dict)
-    pairs = [TranslationPair(parts[0], parts[1]) for parts in _read_token_lines(args.pairs, 2)]
+    pairs = [TranslationPair(*parts) for parts in _read_token_lines(args.pairs, (str, str))]
     report = translation_precision(
         params.output_weights, pairs, dictionary, direction=args.direction, k=args.k
     )

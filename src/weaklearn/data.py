@@ -282,7 +282,12 @@ def write_captions_jsonl(path: str, rows) -> None:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def read_captions_jsonl(path: str) -> list[dict]:
+def read_captions_jsonl(path: str, image_ids=None) -> list[dict]:
+    """Caption rows with string "id", "caption" and "image" fields, in file order.
+
+    When image_ids (a container's id index) is given, a row whose image is
+    not in it is an error naming the line.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -293,8 +298,15 @@ def read_captions_jsonl(path: str) -> list[dict]:
                 row = json.loads(line)
             except json.JSONDecodeError:
                 raise MalformedHeaderError(f"{path}: line {lineno}: malformed caption line") from None
-            if not isinstance(row, dict) or not all(key in row for key in ("id", "caption", "image")):
-                raise MalformedHeaderError(f"{path}: line {lineno}: caption line missing fields")
+            try:  # one chain, no per-field loop: this runs for every caption line
+                strings = isinstance(row["id"], str) and isinstance(row["caption"], str)
+                strings = strings and isinstance(row["image"], str)
+            except (TypeError, KeyError):  # not a JSON object, or a field is missing
+                raise MalformedHeaderError(f"{path}: line {lineno}: caption line missing fields") from None
+            if not strings:
+                raise MalformedHeaderError(f"{path}: line {lineno}: id, caption and image must be strings")
+            if image_ids is not None and row["image"] not in image_ids:
+                raise MissingIdError(f"{path}: line {lineno}: image id not in container: {row['image']}")
             rows.append(row)
     return rows
 
@@ -308,16 +320,13 @@ def load_dataset(captions_path: str, tensor_path: str, dictionary: Dictionary) -
     images, index = read_tensor_container(tensor_path)
     ids, ordinals, labels = [], [], []
     dropped = 0
-    for row in read_captions_jsonl(captions_path):
-        key = row["image"]
-        if key not in index:
-            raise MissingIdError(f"id not in container: {key}")
+    for row in read_captions_jsonl(captions_path, index):
         row_labels = encode_targets(normalize_text(row["caption"]), dictionary)
         if not row_labels:
             dropped += 1
             continue
         ids.append(row["id"])
-        ordinals.append(index[key])
+        ordinals.append(index[row["image"]])
         labels.append(row_labels)
     rows = np.array(ordinals, dtype=np.int64)
     in_order = np.array_equal(rows, np.arange(len(images)))  # then the container's array is used, not copied

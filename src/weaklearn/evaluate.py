@@ -68,14 +68,8 @@ def _embed_chunks(params: ModelParams, dataset: Dataset, chunk: int = 512):
         yield start, e
 
 
-def _top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k per row by descending score; ties broken by ascending index."""
-    order = np.argsort(-scores, axis=-1, kind="stable")
-    return order[..., :k]
-
-
 def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Position of scores[i, labels[i]] in row i under the _top_k_indices order.
+    """Position of scores[i, labels[i]] in row i by descending score, ties by ascending index.
 
     rank = #{j : s_j > s_l} + #{j < l : s_j == s_l}; a NaN score ranks after
     every non-NaN one and after the NaNs at smaller indices, as in the
@@ -109,7 +103,7 @@ def _top_k_hits(scores: np.ndarray, label_offsets: np.ndarray, label_flat: np.nd
 def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
     """Mean over examples of |top-k predictions ∩ labels| / k.
 
-    Top k is the _top_k_indices order, but no row is sorted: each label's
+    Top k is the _label_ranks order, but no row is sorted: each label's
     rank is counted in one pass over its row (O(n * labels * K) comparisons),
     and rows are scored and ranked 512 at a time, so memory is bounded by
     512 x K scores. Per-row values are summed in dataset order.
@@ -234,35 +228,38 @@ def _unit_columns(w_out: np.ndarray) -> np.ndarray:
     return w_out / safe
 
 
+_QUERY_CHUNK = 64  # query columns per product: 64 x K float64 similarities at a time
+
+
+def _column_sims(queries: np.ndarray, candidates: np.ndarray):
+    """Yield (start, queries[:, start : start + 64].T @ candidates) over all query columns."""
+    for start in range(0, queries.shape[1], _QUERY_CHUNK):
+        yield start, queries[:, start : start + _QUERY_CHUNK].T @ candidates
+
+
 def analogy_accuracy(
     w_out: np.ndarray, questions: list[AnalogyQuestion], dictionary: Dictionary
 ) -> EvalReport:
     """Accuracy of predicting D from unit(w_B) - unit(w_A) + unit(w_C).
 
-    The argmax-cosine search excludes A, B and C; questions with any
-    out-of-dictionary word are skipped and counted.
+    The argmax-cosine search excludes A, B and C (first max on ties);
+    questions with any out-of-dictionary word are skipped and counted.
     """
     w2i = dictionary.word_to_index
+    looked_up = [[w2i.get(w) for w in (q.a, q.b, q.c, q.d)] for q in questions]
+    idx = np.array([row for row in looked_up if None not in row], dtype=np.int64).reshape(-1, 4)
+    skipped = len(questions) - len(idx)
     unit = _unit_columns(np.asarray(w_out, dtype=np.float64))
-    scored = 0
+    if not unit.any(axis=0)[idx[:, :3]].all():
+        raise ValueError("zero-norm embedding column")
+    targets = unit[:, idx[:, 1]] - unit[:, idx[:, 0]] + unit[:, idx[:, 2]]
     correct = 0
-    skipped = 0
-    for q in questions:
-        idx = [w2i.get(w) for w in (q.a, q.b, q.c, q.d)]
-        if any(i is None for i in idx):
-            skipped += 1
-            continue
-        ia, ib, ic, id_ = idx
-        if not (unit[:, ia].any() and unit[:, ib].any() and unit[:, ic].any()):
-            raise ValueError("zero-norm embedding column")
-        target = unit[:, ib] - unit[:, ia] + unit[:, ic]
-        sims = target @ unit
-        sims[[ia, ib, ic]] = -np.inf
-        pred = int(np.argmax(sims))
-        scored += 1
-        correct += pred == id_
-    value = correct / scored if scored else 0.0
-    return EvalReport(metric="analogy_accuracy", value=value, k=None, n_items=scored, n_skipped=skipped)
+    for start, sims in _column_sims(targets, unit):
+        chunk = idx[start : start + len(sims)]
+        sims[np.arange(len(sims))[:, None], chunk[:, :3]] = -np.inf
+        correct += int(np.count_nonzero(sims.argmax(axis=1) == chunk[:, 3]))
+    value = correct / len(idx) if len(idx) else 0.0
+    return EvalReport(metric="analogy_accuracy", value=value, k=None, n_items=len(idx), n_skipped=skipped)
 
 
 def spearman_similarity(
@@ -305,8 +302,8 @@ def translation_precision(
     direction "forward" queries word1 against the set of word2 entries;
     "reverse" swaps the roles. Candidates are exactly the target-side
     words of the scorable pairs; ties rank by ascending dictionary index.
-    A target's rank is counted as in precision_at_k, 512 queries at a time,
-    so memory is bounded by 512 x candidates similarities.
+    A target's rank is counted as in precision_at_k, 64 queries at a time,
+    so memory is bounded by 64 x candidates similarities.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be forward or reverse")
@@ -329,9 +326,8 @@ def translation_precision(
     queries = _unit_columns(w[:, [w2i[p.word1] for p in scorable]])
     positions = np.searchsorted(candidates, targets)
     hits = 0
-    for start in range(0, len(scorable), 512):
-        sims = queries[:, start : start + 512].T @ cand_cols
-        hits += int(np.count_nonzero(_label_ranks(sims, positions[start : start + 512]) < k))
+    for start, sims in _column_sims(queries, cand_cols):
+        hits += int(np.count_nonzero(_label_ranks(sims, positions[start : start + len(sims)]) < k))
     return EvalReport(
         metric=f"translation_precision_{direction}",
         value=hits / len(scorable),
@@ -352,7 +348,7 @@ def dump_embeddings(
 
     Returns the neighbors path (derived from `path` when not given). The
     neighbor lists hold the top cosine neighbors of each word, self
-    excluded, ties by ascending index.
+    excluded, ties by ascending index; 64 words are ranked at a time.
     """
     w = np.asarray(w_out, dtype=np.float64)
     if w.shape[1] != dictionary.k:
@@ -364,13 +360,14 @@ def dump_embeddings(
         for j, word in enumerate(dictionary.words):
             writer.writerow([word] + [f"{v:.8e}" for v in w[:, j]])
     unit = _unit_columns(w)
-    sims = unit.T @ unit
-    np.fill_diagonal(sims, -np.inf)
-    n_take = min(n_neighbors, dictionary.k - 1)
+    n_take = max(0, min(n_neighbors, dictionary.k - 1))
     neighbors = {}
-    for j, word in enumerate(dictionary.words):
-        top = _top_k_indices(sims[j], n_take) if n_take > 0 else []
-        neighbors[word] = [dictionary.words[int(t)] for t in top]
+    for start, sims in _column_sims(unit, unit):
+        rows = np.arange(len(sims))
+        sims[rows, start + rows] = -np.inf
+        top = np.argsort(-sims, axis=1, kind="stable")[:, :n_take]
+        for j, row in enumerate(top.tolist(), start):
+            neighbors[dictionary.words[j]] = [dictionary.words[t] for t in row]
     with open(neighbors_path, "w", encoding="utf-8") as fh:
         json.dump(neighbors, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -100,19 +100,20 @@ def sampled_multiclass_loss(subset_logits: np.ndarray, positive_position: np.nda
 def ova_loss(logits: np.ndarray, y: np.ndarray, n_total: int, n_pos: np.ndarray) -> LossGrad:
     """Class-rebalanced one-vs-all logistic loss (negated log-likelihood).
 
-    Positive terms weigh y_nk / N_k, negative terms (1 - y_nk) / (N - N_k),
+    Positive terms weigh y_nk / N_k, negative terms (1 - y_nk) / max(N - N_k, 1),
     with the sigmoid applied to each per-class score. Summed over the given
-    rows, not averaged.
+    rows, not averaged. A class positive in every row (N_k = N) has no
+    negative terms, so its empty negative sum weighs 0.
     """
     logits = np.asarray(logits)
     y = np.asarray(y, dtype=logits.dtype)
     n_pos = np.asarray(n_pos, dtype=np.float64)
     if logits.ndim != 2 or y.shape != logits.shape or n_pos.shape != (logits.shape[1],):
         raise ValueError("shape mismatch")
-    if np.any(n_pos <= 0) or np.any(n_pos >= n_total):
+    if np.any(n_pos < 1) or np.any(n_pos > n_total):
         raise ValueError("degenerate class balance")
     pos_w = y / n_pos
-    neg_w = (1.0 - y) / (n_total - n_pos)
+    neg_w = (1.0 - y) / np.maximum(n_total - n_pos, 1)
     # -log sigma(l) = softplus(-l); -log(1 - sigma(l)) = softplus(l)
     softplus_neg = np.logaddexp(0.0, -logits)
     softplus_pos = np.logaddexp(0.0, logits)

@@ -42,6 +42,14 @@ def normalize_text(text: str) -> list[str]:
     return text.split()
 
 
+class DictionaryEntryError(ValueError):
+    """Entry `entry` of a dictionary breaks its count, order or uniqueness rule."""
+
+    def __init__(self, entry: int, reason: str):
+        super().__init__(f"entry {entry}: {reason}")
+        self.entry, self.reason = entry, reason
+
+
 @dataclass
 class Dictionary:
     """Closed label vocabulary: word i is class index i.
@@ -63,16 +71,18 @@ class Dictionary:
             raise ValueError("words and counts length mismatch")
         if len(self.words) == 0:
             raise ValueError("empty vocabulary")
-        if np.any(self.counts < 1):
-            raise ValueError("nonpositive count")
-        if np.any(np.diff(self.counts) > 0):
-            raise ValueError("counts not non-increasing")
-        for i in range(len(self.words) - 1):
-            if self.counts[i] == self.counts[i + 1] and not self.words[i] < self.words[i + 1]:
-                raise ValueError("tied counts not in ascending word order")
-        self.word_to_index = {w: i for i, w in enumerate(self.words)}
-        if len(self.word_to_index) != len(self.words):
-            raise ValueError("duplicate word")
+        counts = self.counts.tolist()
+        self.word_to_index = {}
+        for i, (word, count) in enumerate(zip(self.words, counts)):
+            if count < 1:
+                raise DictionaryEntryError(i, "nonpositive count")
+            if i and count > counts[i - 1]:
+                raise DictionaryEntryError(i, "counts not non-increasing")
+            if i and count == counts[i - 1] and not self.words[i - 1] < word:
+                raise DictionaryEntryError(i, "tied counts not in ascending word order")
+            if word in self.word_to_index:
+                raise DictionaryEntryError(i, "duplicate word")
+            self.word_to_index[word] = i
 
     @property
     def k(self) -> int:
@@ -136,7 +146,7 @@ def load_dictionary(path: str) -> Dictionary:
         if m is None:
             raise ValueError(f"{path}: line 1: malformed dictionary header")
         declared_k, stop_count = int(m.group(1)), int(m.group(2))
-        words, counts = [], []
+        words, counts, linenos = [], [], []
         for lineno, line in enumerate(fh, 2):
             line = line.rstrip("\n")
             if not line:
@@ -147,6 +157,10 @@ def load_dictionary(path: str) -> Dictionary:
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: malformed dictionary line: {line!r}") from None
             words.append(word)
+            linenos.append(lineno)
     if len(words) != declared_k:
         raise ValueError(f"{path}: dictionary K mismatch: header says {declared_k}, found {len(words)}")
-    return Dictionary(words=words, counts=np.array(counts, dtype=np.int64), stop_count=stop_count)
+    try:
+        return Dictionary(words=words, counts=np.array(counts, dtype=np.int64), stop_count=stop_count)
+    except DictionaryEntryError as exc:
+        raise ValueError(f"{path}: line {linenos[exc.entry]}: {exc.reason}: {words[exc.entry]!r}") from None

@@ -72,6 +72,10 @@ def test_parse_layers():
     assert parse_layers([["conv", 5, 4], ["fc", 32]]) == [("conv", 5, 4), ("fc", 32)]
     with pytest.raises(ValueError):
         parse_layers("dense:64")
+    with pytest.raises(ValueError, match="^bad layer spec: 'fc:abc'$"):
+        parse_layers("conv:3:8,fc:abc")
+    with pytest.raises(ValueError, match="^bad layer spec: 'fc:8.9'$"):
+        parse_layers([["conv", 5, 4], ["fc", 8.9]])
 
 
 def test_check_bounds_json(capsys):
@@ -160,6 +164,35 @@ def test_config_file_json_equals_ini(capsys, data_dir, tmp_path):
     bytes_a = (out_a / "checkpoint.wlckpt").read_bytes()
     bytes_b = (out_b / "checkpoint.wlckpt").read_bytes()
     assert bytes_a == bytes_b
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [
+        ("run.ini", "[train]\nfull_softmax = False\n", "train.full_softmax: expected bool, got 'False'"),
+        ("run.json", '{"train": {"full_softmax": "false"}}', "train.full_softmax: expected bool, got 'false'"),
+        ("run.json", '{"train": {"batch_size": 64.9}}', "train.batch_size: expected int, got 64.9"),
+        ("run.json", '{"model": {"embed_dims": 8, "layer": "fc:8"}}', "model.embed_dims: unknown key"),
+        ("run.json", '{"trian": {"seed": 1}}', "unknown config sections: ['trian']"),
+    ],
+    ids=["ini-bool-as-text", "json-bool-as-text", "json-float-for-int", "unknown-model-key", "unknown-section"],
+)
+def test_config_values_are_checked_not_cast(capsys, data_dir, tmp_path, name, text, key):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, _, err = run(capsys, train_args(data_dir, tmp_path / "run", ["--config", str(cfg)]))
+    assert code == 2
+    assert f"error: {cfg}: {key}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_float_key_takes_an_int(capsys, data_dir, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"train": {"lr_init": 1, "full_softmax": True}}))
+    code, _, err = run(capsys, train_args(data_dir, tmp_path / "run", ["--config", str(cfg)]))
+    assert code == 0
+    resolved = json.loads(err.splitlines()[0].removeprefix("config "))
+    assert resolved["train"]["lr_init"] == 1.0 and resolved["train"]["full_softmax"] is True
 
 
 def test_flags_override_config(capsys, data_dir, tmp_path):
@@ -262,3 +295,58 @@ def test_train_stops_on_non_finite_loss(capsys, data_dir, tmp_path):
     assert not (tmp_path / "checkpoint.wlckpt").exists()
     assert not (tmp_path / "trainlog.jsonl").exists()
 
+
+
+def test_caption_with_unknown_image_names_its_line(capsys, data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    captions = data / "captions.jsonl"
+    n_lines = len(captions.read_text().splitlines())
+    with open(captions, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "extra", "caption": "x", "image": "nope"}) + "\n")
+    code, _, err = run(capsys, train_args(data, tmp_path / "run"))
+    assert code == 2
+    assert f"error: {captions}: line {n_lines + 1}: image id not in container: nope" in err
+
+
+@pytest.mark.parametrize("field", ["caption", "id", "image"])
+def test_caption_field_that_is_not_a_string_names_its_line(capsys, tmp_path, field):
+    captions = tmp_path / "captions.jsonl"
+    row = {"id": "b", "caption": "blue fox", "image": "b"}
+    row[field] = 5
+    captions.write_text('{"id": "a", "caption": "red fox", "image": "a"}\n' + json.dumps(row) + "\n")
+    code, _, err = run(capsys, ["build-dict", "--captions", str(captions), "--out", str(tmp_path / "dict.tsv")])
+    assert code == 2
+    assert f"error: {captions}: line 2: id, caption and image must be strings" in err
+
+
+@pytest.mark.parametrize(
+    "entries, reason",
+    [
+        ("alpha\t5\nbeta\t3\ngamma\t4\n", "line 4: counts not non-increasing: 'gamma'"),
+        ("alpha\t5\ngamma\t3\nbeta\t3\n", "line 4: tied counts not in ascending word order: 'beta'"),
+        ("alpha\t5\nbeta\t3\nalpha\t2\n", "line 4: duplicate word: 'alpha'"),
+        ("alpha\t5\n\nbeta\t0\ngamma\t0\n", "line 4: nonpositive count: 'beta'"),
+    ],
+    ids=["rising", "tie-order", "duplicate", "nonpositive"],
+)
+def test_dictionary_entry_at_fault_names_its_line(capsys, data_dir, tmp_path, entries, reason):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "dict.tsv").write_text(f"#weaklearn-dict v1 K=3 stop=0\n{entries}", encoding="utf-8")
+    code, _, err = run(capsys, train_args(data, tmp_path / "run"))
+    assert code == 2
+    assert f"error: {data / 'dict.tsv'}: {reason}" in err
+
+
+def test_similarity_rating_that_is_not_a_number_names_its_line(capsys, data_dir, tmp_path):
+    ckpt = tmp_path / "model.wlckpt"
+    cfg = ModelConfig(input_hwc=(4, 4, 1), layers=[("fc", 3)], embed_dim=3)
+    save_checkpoint(str(ckpt), init_params(cfg, k=6, seed=1), rng_algo="numpy-pcg64", rng_state={}, step=0, lr=0.1)
+    pairs = tmp_path / "sims.txt"
+    for rating in ("high", "nan"):
+        pairs.write_text(f"# word1 word2 rating\nwa wb 3.5\nwa wc {rating}\n")
+        code, _, err = run(capsys, ["eval-sim", "--ckpt", str(ckpt), "--dict", str(data_dir / "dict.tsv"),
+                                    "--pairs", str(pairs)])
+        assert code == 2
+        assert f"error: {pairs}: line 3: not a finite number in 'wa wc {rating}'" in err

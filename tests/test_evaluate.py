@@ -195,6 +195,28 @@ def test_analogy_matches_brute_force():
     assert (report.n_items, report.n_skipped) == (20, 0)
 
 
+def test_analogy_matches_brute_force_across_query_chunks_with_ties():
+    rng = np.random.default_rng(34)
+    words = [f"word{i:02d}" for i in range(40)]
+    dictionary = make_dictionary(words)
+    w = rng.standard_normal((4, 40))
+    w[:, 20:30] = w[:, 10:20]  # duplicated columns: exact ties go to the first max
+    questions = []
+    expected_hits = 0
+    for i in range(320):
+        ia, ib, ic, other = rng.choice(40, size=4, replace=False)
+        best = brute_force_analogy(w, ia, ib, ic)
+        id_ = best if i % 2 else other  # half are right, so every 64-question chunk counts
+        if i % 50 == 7:  # skipped questions shift the scored ones against the input order
+            questions.append(AnalogyQuestion(words[ia], words[ib], "nope", words[id_]))
+            continue
+        questions.append(AnalogyQuestion(words[ia], words[ib], words[ic], words[id_]))
+        expected_hits += best == id_
+    report = analogy_accuracy(w, questions, dictionary)
+    assert (report.n_items, report.n_skipped) == (313, 7)
+    assert report.value == expected_hits / 313
+
+
 def test_analogy_excludes_question_words_from_search():
     dictionary = make_dictionary(["qa", "qb", "qc", "qd", "other"])
     w = np.array(
@@ -406,6 +428,25 @@ def test_dump_embeddings_round_trip(tmp_path):
         sims = [float(unit[:, j] @ unit[:, m]) if m != j else -np.inf for m in range(9)]
         expected = [words[t] for t in brute_force_top_k(sims, 3)]
         assert neighbors[word] == expected
+
+
+@pytest.mark.parametrize("n_neighbors", [1, 149])
+def test_dump_embeddings_matches_brute_force_across_chunks_with_ties(tmp_path, n_neighbors):
+    rng = np.random.default_rng(35)
+    words = [f"w{i:03d}" for i in range(150)]
+    dictionary = make_dictionary(words)
+    w = rng.standard_normal((5, 150))
+    w[:, 100:150] = w[:, 20:70]  # duplicated columns tie exactly
+    w[:, 90] = 0.0  # a zero column scores 0 against every word
+    neighbors_path = dump_embeddings(w, dictionary, str(tmp_path / "emb.csv"), n_neighbors=n_neighbors)
+    with open(neighbors_path) as fh:
+        neighbors = json.load(fh)
+    norms = np.linalg.norm(w, axis=0)
+    unit = w / np.where(norms > 0, norms, 1.0)
+    assert sorted(neighbors) == words
+    for j, word in enumerate(words):
+        sims = [float(unit[:, j] @ unit[:, m]) if m != j else -np.inf for m in range(150)]
+        assert neighbors[word] == [words[t] for t in brute_force_top_k(sims, n_neighbors)]
 
 
 def test_dump_embeddings_validates_shape(tmp_path):

@@ -163,8 +163,28 @@ def test_ova_reduces_to_scaled_binary_cross_entropy():
 
 def test_ova_rejects_degenerate_balance():
     y = np.ones((2, 1))
-    with pytest.raises(ValueError, match="degenerate class balance"):
-        ova_loss(np.zeros((2, 1)), y, n_total=2, n_pos=np.array([2]))
+    for n_pos in (0, 3):  # no positive, or more positives than rows
+        with pytest.raises(ValueError, match="degenerate class balance"):
+            ova_loss(np.zeros((2, 1)), y, n_total=2, n_pos=np.array([n_pos]))
+    # a class positive in every row has no negatives: only its positive terms count
+    lg = ova_loss(np.zeros((2, 1)), y, n_total=2, n_pos=np.array([2]))
+    assert lg.loss == math.log(2.0)
+    assert np.isfinite(lg.d_logits).all()
+
+
+def test_ova_gradient_with_an_all_positive_class_matches_finite_differences():
+    rng = np.random.default_rng(43)
+    n, k = 5, 3
+    y = np.zeros((n, k))
+    y[:, 0] = 1.0  # positive in every row
+    y[[1, 3], 1] = 1.0
+    y[2, 2] = 1.0
+    n_pos = y.sum(axis=0)
+    logits = rng.standard_normal((n, k))
+    lg = ova_loss(logits, y, n_total=n, n_pos=n_pos)
+    numeric = finite_diff_wrt_logits(lambda l: ova_loss(l, y, n, n_pos).loss, logits.copy())
+    assert np.isfinite(lg.loss)
+    assert max_rel_err(lg.d_logits, numeric) < 1e-6
 
 
 @pytest.mark.parametrize(

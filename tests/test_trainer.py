@@ -167,6 +167,15 @@ def test_training_loss_decreases_on_noiseless_data():
     assert losses[-1] < losses[0] / 2
 
 
+def test_one_vs_all_trains_through_single_class_batches():
+    examples, dictionary, model_cfg = small_preset(n=200, k=5)
+    # at batch size 2 many batches draw one class twice, which is then positive in every row
+    cfg = TrainConfig(batch_size=2, epoch_size=100, max_epochs=2, loss_kind="one_vs_all", seed=4)
+    _, log = train(cfg, examples, model_cfg, k=dictionary.k)
+    assert len(log.records) == 2
+    assert all(math.isfinite(r["train_loss_mean"]) for r in log.records)
+
+
 def test_train_writes_checkpoint_with_rng_state(tmp_path):
     examples, dictionary, model_cfg = small_preset()
     path = str(tmp_path / "run.wlckpt")
