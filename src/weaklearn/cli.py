@@ -238,13 +238,14 @@ def _cmd_eval_words(args) -> int:
 
 
 def _cmd_eval_probe(args) -> int:
+    grid = _lambda_grid(args.lambda_grid) if args.lambda_grid is not None else None
     params, _ = load_checkpoint(args.ckpt)
     _, dataset, _ = _load_data_dir(args.data)
     features = extract_features(params, dataset)
     labels = dataset.label_flat[dataset.label_offsets[:-1]]  # lowest class index per example
-    grid = np.array([float(x) for x in args.lambda_grid.split(",")]) if args.lambda_grid else None
     probe, report = linear_probe(features, labels, lambda_grid=grid, seed=args.seed)
-    print(f"selected lambda {probe.lam:g}", file=sys.stderr)
+    print(f"selected lambda {probe.lam:g}: refit in {probe.iterations} iterations "
+          f"to gradient norm {probe.grad_norm:.2e}", file=sys.stderr)
     print(report.to_json())
     return 0
 
@@ -254,6 +255,20 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not finite: {text}")
     return value
+
+
+def _lambda_grid(text: str) -> list[float]:
+    """The comma-separated values of --lambda-grid, each a finite number > 0."""
+    grid = []
+    for part in text.split(","):
+        try:
+            value = _finite_float(part)
+        except ValueError:
+            value = math.nan
+        if not value > 0:
+            raise ValueError(f"--lambda-grid: {part!r} is not a finite number > 0")
+        grid.append(value)
+    return grid
 
 
 def _read_token_lines(path: str, kinds: tuple) -> list[list]:

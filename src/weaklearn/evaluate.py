@@ -13,10 +13,10 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.stats import rankdata
 
 from .data import Dataset, stable_fraction
-from .loss import softmax
 from .model import ModelParams, forward, score_subset
 from .textpipe import Dictionary
 
@@ -58,7 +58,9 @@ class TranslationPair:
 class ProbeModel:
     weights: np.ndarray  # (E, C) over np.unique(labels) in ascending order
     bias: np.ndarray  # (C,)
-    lam: float  # selected regularization strength
+    lam: float  # regularization strength of the fit
+    iterations: int  # trust-region Newton iterations of the fit
+    grad_norm: float  # gradient 2-norm at the returned weights
 
 
 def _embed_chunks(params: ModelParams, dataset: Dataset, chunk: int = 512):
@@ -136,30 +138,75 @@ def extract_features(params: ModelParams, dataset: Dataset, chunk: int = 512) ->
     return np.concatenate([e for _, e in _embed_chunks(params, dataset, chunk)], axis=0)
 
 
-def _fit_multinomial(x: np.ndarray, labels: np.ndarray, n_classes: int, lam: float):
-    """L2-regularized softmax regression by full-batch gradient descent.
+_NEWTON_MAX_ITERATIONS = 200  # the conv-k20 probe fits converge in 20-30
 
-    Runs to gradient norm < 1e-6 or 10^4 iterations, whichever first; the
-    step size is 1/L for the standard smoothness bound of the objective.
+
+def _multinomial_objective(xb: np.ndarray, labels: np.ndarray, lam: float):
+    """(fun, hessp) of mean cross-entropy + lam/2 * ||W||^2 over flat V = [W; b], shape (E+1, C).
+
+    xb is the features with a column of ones appended, so the last row of V
+    is the bias, which is not penalized. fun(v) returns the objective and
+    its gradient. hessp(v, d) returns Xb^T (P * (U - rowsum(P * U))) / n +
+    lam * d_W with U = Xb d and P the softmax at v; it reuses P from fun's
+    last call only when v equals that call's point (after a rejected step
+    the trust region asks for products at the old point again).
+    """
+    n, rows = len(xb), np.arange(len(xb))
+    last = {}
+
+    def fun(flat):
+        v = flat.reshape(xb.shape[1], -1)
+        z = xb @ v
+        z -= z.max(axis=1, keepdims=True)
+        log_p = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        last.update(v=flat.copy(), p=np.exp(log_p))
+        diff = last["p"].copy()
+        diff[rows, labels] -= 1.0
+        grad = xb.T @ diff / n
+        grad[:-1] += lam * v[:-1]
+        return -log_p[rows, labels].mean() + 0.5 * lam * float((v[:-1] ** 2).sum()), grad.ravel()
+
+    def hessp(flat, direction):
+        if not np.array_equal(flat, last.get("v")):
+            fun(flat)
+        p, d = last["p"], direction.reshape(xb.shape[1], -1)
+        pu = p * (xb @ d)
+        hv = xb.T @ (pu - p * pu.sum(axis=1, keepdims=True)) / n
+        hv[:-1] += lam * d[:-1]
+        return hv.ravel()
+
+    return fun, hessp
+
+
+def _fit_multinomial(x: np.ndarray, labels: np.ndarray, n_classes: int, lam: float) -> ProbeModel:
+    """L2-regularized softmax regression, solved to its optimum by trust-region Newton.
+
+    Minimizes mean cross-entropy + lam/2 * ||W||^2 (bias unpenalized) from
+    W = 0, b = 0 with scipy's truncated-CG trust-region Newton method
+    (Steihaug 1983; Lin, Weng & Keerthi 2008) and exact Hessian-vector
+    products. It stops at gradient 2-norm < 1e-8 or after
+    _NEWTON_MAX_ITERATIONS iterations, and raises ValueError if the norm is
+    then above 1e-6. lam must be finite and > 0: without the penalty the
+    objective has no minimizer on separable features.
     """
     n, e = x.shape
-    y = np.zeros((n, n_classes))
-    y[np.arange(n), labels] = 1.0
-    w = np.zeros((e, n_classes))
-    b = np.zeros(n_classes)
-    gram_top = float(np.linalg.eigvalsh((x.T @ x) / n)[-1])
-    lipschitz = 0.5 * (gram_top + 1.0) + lam
-    step = 1.0 / lipschitz
-    for _ in range(10_000):
-        diff = (softmax(x @ w + b) - y) / n
-        g_w = x.T @ diff + lam * w
-        g_b = diff.sum(axis=0)
-        norm = np.sqrt((g_w * g_w).sum() + (g_b * g_b).sum())
-        if norm < 1e-6:
-            break
-        w -= step * g_w
-        b -= step * g_b
-    return w, b
+    xb = np.hstack([x, np.ones((n, 1))])
+    fun, hessp = _multinomial_objective(xb, labels, lam)
+    result = minimize(
+        fun,
+        np.zeros((e + 1) * n_classes),
+        jac=True,
+        hessp=hessp,
+        method="trust-ncg",
+        options={"gtol": 1e-8, "maxiter": _NEWTON_MAX_ITERATIONS},
+    )
+    grad_norm = float(np.linalg.norm(result.jac))
+    if not grad_norm <= 1e-6:
+        raise ValueError(
+            f"probe fit at lambda {lam:g} stopped after {result.nit} iterations at gradient norm {grad_norm:.3g}"
+        )
+    v = result.x.reshape(e + 1, n_classes)
+    return ProbeModel(weights=v[:-1], bias=v[-1], lam=lam, iterations=int(result.nit), grad_norm=grad_norm)
 
 
 def linear_probe(
@@ -168,16 +215,22 @@ def linear_probe(
     lambda_grid: np.ndarray | None = None,
     seed: int = 0,
 ) -> tuple[ProbeModel, EvalReport]:
-    """Probe frozen features with a multinomial logistic regressor.
+    """Probe frozen features with an L2-regularized multinomial logistic regressor.
 
     Rows are split by stable hash into a held-out test fold (20%) and an
-    80/20 train/validation split of the remainder; lambda is chosen by
-    validation accuracy (ties to the smaller lambda), the model is refit
-    on train+validation, and test accuracy is reported. The seed salts
-    the hash so different seeds give different folds.
+    80/20 train/validation split of the remainder; the seed salts the hash,
+    so different seeds give different folds. Each lambda in the grid (every
+    one finite and > 0; default 1e-4 .. 1e2, 7 log-spaced values) is fit to
+    its optimum on the train split and scored by validation accuracy; the
+    best lambda (ties to the smaller one) is refit on train+validation, and
+    its test accuracy is reported. The returned ProbeModel is the refit.
     """
-    if lambda_grid is None:
-        lambda_grid = np.logspace(-4, 2, 7)
+    grid = np.logspace(-4, 2, 7) if lambda_grid is None else np.asarray(lambda_grid, dtype=np.float64)
+    if grid.ndim != 1 or not grid.size:
+        raise ValueError("lambda grid must be a non-empty list of values")
+    bad = grid[~(np.isfinite(grid) & (grid > 0))]
+    if bad.size:
+        raise ValueError(f"lambda {bad[0]:g} has no optimum: every lambda must be finite and > 0")
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
@@ -200,16 +253,16 @@ def linear_probe(
         raise ValueError("single-class input")
 
     best_lam, best_acc = None, -1.0
-    for lam in lambda_grid:
-        w, b = _fit_multinomial(x[train_rows], dense[train_rows], classes.size, float(lam))
-        pred = np.argmax(x[val_rows] @ w + b, axis=1)
+    for lam in grid.tolist():
+        fit = _fit_multinomial(x[train_rows], dense[train_rows], classes.size, lam)
+        pred = np.argmax(x[val_rows] @ fit.weights + fit.bias, axis=1)
         acc = float((pred == dense[val_rows]).mean())
         if acc > best_acc:
-            best_acc, best_lam = acc, float(lam)
+            best_acc, best_lam = acc, lam
 
     fit_rows = np.concatenate([train_rows, val_rows])
-    w, b = _fit_multinomial(x[fit_rows], dense[fit_rows], classes.size, best_lam)
-    pred = np.argmax(x[test_rows] @ w + b, axis=1)
+    probe = _fit_multinomial(x[fit_rows], dense[fit_rows], classes.size, best_lam)
+    pred = np.argmax(x[test_rows] @ probe.weights + probe.bias, axis=1)
     test_acc = float((pred == dense[test_rows]).mean())
     report = EvalReport(
         metric="probe_accuracy",
@@ -218,7 +271,7 @@ def linear_probe(
         n_items=len(test_rows),
         n_skipped=0,
     )
-    return ProbeModel(weights=w, bias=b, lam=best_lam), report
+    return probe, report
 
 
 def _unit_columns(w_out: np.ndarray) -> np.ndarray:
@@ -348,7 +401,9 @@ def dump_embeddings(
 
     Returns the neighbors path (derived from `path` when not given). The
     neighbor lists hold the top cosine neighbors of each word, self
-    excluded, ties by ascending index; 64 words are ranked at a time.
+    excluded, ties by ascending index, as a stable argsort of each row
+    would give them; 64 words are scored at a time, and only the entries
+    at or above each row's n-th largest cosine are sorted.
     """
     w = np.asarray(w_out, dtype=np.float64)
     if w.shape[1] != dictionary.k:
@@ -361,13 +416,17 @@ def dump_embeddings(
             writer.writerow([word] + [f"{v:.8e}" for v in w[:, j]])
     unit = _unit_columns(w)
     n_take = max(0, min(n_neighbors, dictionary.k - 1))
+    kth = max(n_take - 1, 0)
     neighbors = {}
     for start, sims in _column_sims(unit, unit):
         rows = np.arange(len(sims))
         sims[rows, start + rows] = -np.inf
-        top = np.argsort(-sims, axis=1, kind="stable")[:, :n_take]
-        for j, row in enumerate(top.tolist(), start):
-            neighbors[dictionary.words[j]] = [dictionary.words[t] for t in row]
+        neg = np.negative(sims, out=sims)
+        cuts = np.partition(neg, kth, axis=1)[:, kth]  # the n-th smallest -cosine per row
+        for j, (row, cut) in enumerate(zip(neg, cuts), start):
+            candidates = np.flatnonzero(~(row > cut))  # keeps every tie at the cut, and NaNs
+            top = candidates[np.argsort(row[candidates], kind="stable")[:n_take]]
+            neighbors[dictionary.words[j]] = [dictionary.words[t] for t in top.tolist()]
     with open(neighbors_path, "w", encoding="utf-8") as fh:
         json.dump(neighbors, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -128,6 +128,7 @@ def test_pipeline_train_and_eval(capsys, data_dir, tmp_path):
     assert code == 0
     assert json.loads(out)["metric"] == "probe_accuracy"
     assert "selected lambda" in err
+    assert "iterations to gradient norm" in err
 
 
 def test_train_logs_one_config_line_first(capsys, data_dir, tmp_path):
@@ -337,6 +338,19 @@ def test_dictionary_entry_at_fault_names_its_line(capsys, data_dir, tmp_path, en
     code, _, err = run(capsys, train_args(data, tmp_path / "run"))
     assert code == 2
     assert f"error: {data / 'dict.tsv'}: {reason}" in err
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "-1", "0", "0.001,"])
+def test_eval_probe_refuses_a_bad_lambda_grid(capsys, data_dir, tmp_path, grid):
+    ckpt = tmp_path / "model.wlckpt"
+    cfg = ModelConfig(input_hwc=(4, 4, 1), layers=[("fc", 3)], embed_dim=3)
+    save_checkpoint(str(ckpt), init_params(cfg, k=6, seed=1), rng_algo="numpy-pcg64", rng_state={}, step=0, lr=0.1)
+    code, out, err = run(capsys, ["eval-probe", "--ckpt", str(ckpt), "--data", str(data_dir),
+                                  "--lambda-grid", grid])
+    assert code == 2
+    assert out == ""
+    bad = grid.split(",")[-1]
+    assert f"error: --lambda-grid: {bad!r} is not a finite number > 0" in err
 
 
 def test_similarity_rating_that_is_not_a_number_names_its_line(capsys, data_dir, tmp_path):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,6 +141,7 @@ def test_linear_probe_separates_blobs():
     assert probe.weights.shape == (2, 3)
     # every grid point separates this data, so the tie resolves small
     assert probe.lam == pytest.approx(1e-4)
+    assert probe.grad_norm < 1e-6 and probe.iterations > 0
 
 
 def test_linear_probe_handles_non_contiguous_labels():
@@ -154,6 +157,77 @@ def test_linear_probe_is_deterministic_per_seed():
     _, report_a = linear_probe(x, y, seed=0)
     _, report_b = linear_probe(x, y, seed=0)
     assert report_a.to_json() == report_b.to_json()
+
+
+def overlapping_blobs(rng, n=150, n_classes=3):
+    """Noisy 4-d features with a dead (all-zero) unit in column 2: no perfect split."""
+    labels = np.arange(n) % n_classes
+    centers = rng.standard_normal((n_classes, 4))
+    x = centers[labels] + 1.5 * rng.standard_normal((n, 4))
+    x[:, 2] = 0.0
+    return x, labels
+
+
+def reference_objective(v, x, labels, lam):
+    """Mean cross-entropy + lam/2 ||W||^2 and its gradient over v = [W; b] (bias unpenalized)."""
+    n, e = x.shape
+    v = v.reshape(e + 1, -1)
+    w, b = v[:-1], v[-1]
+    logits = x @ w + b
+    log_p = logits - scipy.special.logsumexp(logits, axis=1, keepdims=True)
+    diff = np.exp(log_p)
+    diff[np.arange(n), labels] -= 1.0
+    grad = np.vstack([x.T @ diff / n + lam * w, diff.sum(axis=0) / n])
+    return -log_p[np.arange(n), labels].mean() + 0.5 * lam * (w * w).sum(), grad.ravel()
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
+def test_multinomial_hessp_matches_central_differences_of_the_gradient(lam):
+    rng = np.random.default_rng(40)
+    x, labels = overlapping_blobs(rng)
+    xb = np.hstack([x, np.ones((len(x), 1))])
+    fun, hessp = evaluate._multinomial_objective(xb, labels, lam)
+    v = rng.standard_normal(xb.shape[1] * 3)
+    h = 1e-4
+    for _ in range(5):
+        d = rng.standard_normal(v.size)
+        fun(v)
+        cached = hessp(v, d)  # reuses the softmax fun just computed at v
+        fd = (fun(v + h * d)[1] - fun(v - h * d)[1]) / (2 * h)
+        fresh = hessp(v, d)  # fun's last point was v - h d: the softmax is recomputed at v
+        np.testing.assert_array_equal(cached, fresh)
+        assert np.linalg.norm(fresh - fd) < 1e-6 * np.linalg.norm(fd)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
+def test_fit_multinomial_reaches_the_optimum(lam):
+    x, labels = overlapping_blobs(np.random.default_rng(41))
+    fit = evaluate._fit_multinomial(x, labels, 3, lam)
+    assert fit.lam == lam and fit.iterations > 0
+    v = np.vstack([fit.weights, fit.bias]).ravel()
+    value, grad = reference_objective(v, x, labels, lam)
+    assert fit.grad_norm < 1e-6
+    assert np.linalg.norm(grad) == pytest.approx(fit.grad_norm, abs=1e-9)
+    assert np.all(fit.weights[2] == 0.0)  # the dead unit's weights stay at their optimum, 0
+    reference = scipy.optimize.minimize(
+        reference_objective, np.zeros_like(v), args=(x, labels, lam), jac=True, method="L-BFGS-B",
+        options={"maxiter": 100_000, "ftol": 1e-15, "gtol": 1e-11},
+    )
+    assert abs(value - reference.fun) < 1e-9
+
+
+def test_fit_multinomial_refuses_to_return_an_unconverged_fit(monkeypatch):
+    monkeypatch.setattr(evaluate, "_NEWTON_MAX_ITERATIONS", 2)
+    x, labels = overlapping_blobs(np.random.default_rng(41))
+    with pytest.raises(ValueError, match="probe fit at lambda 0.01 stopped after 2 iterations at gradient norm"):
+        evaluate._fit_multinomial(x, labels, 3, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_linear_probe_refuses_a_lambda_without_optimum(bad):
+    x, y = separable_blobs(np.random.default_rng(27), n_per=20)
+    with pytest.raises(ValueError, match="every lambda must be finite and > 0"):
+        linear_probe(x, y, lambda_grid=[1e-3, bad])
 
 
 def test_linear_probe_validation():
