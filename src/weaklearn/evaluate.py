@@ -63,10 +63,13 @@ class ProbeModel:
     grad_norm: float  # gradient 2-norm at the returned weights
 
 
-def _embed_chunks(params: ModelParams, dataset: Dataset, chunk: int = 512):
-    """Yield (start row, embeddings) for consecutive chunks of the dataset."""
-    for start in range(0, len(dataset), chunk):
-        e, _ = forward(params, dataset.images[start : start + chunk])
+_ROW_CHUNK = 512  # dataset rows per forward in the evals
+
+
+def _embed_chunks(params: ModelParams, dataset: Dataset):
+    """Yield (start row, embeddings) for consecutive _ROW_CHUNK-row chunks of the dataset."""
+    for start in range(0, len(dataset), _ROW_CHUNK):
+        e, _ = forward(params, dataset.images[start : start + _ROW_CHUNK])
         yield start, e
 
 
@@ -107,8 +110,8 @@ def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
 
     Top k is the _label_ranks order, but no row is sorted: each label's
     rank is counted in one pass over its row (O(n * labels * K) comparisons),
-    and rows are scored and ranked 512 at a time, so memory is bounded by
-    512 x K scores. Per-row values are summed in dataset order.
+    and rows are scored and ranked _ROW_CHUNK (512) at a time, so memory is
+    bounded by 512 x K scores. Per-row values are summed in dataset order.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -133,9 +136,9 @@ def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
     )
 
 
-def extract_features(params: ModelParams, dataset: Dataset, chunk: int = 512) -> np.ndarray:
+def extract_features(params: ModelParams, dataset: Dataset) -> np.ndarray:
     """Penultimate representation f(x; theta) per example, shape (n, E)."""
-    return np.concatenate([e for _, e in _embed_chunks(params, dataset, chunk)], axis=0)
+    return np.concatenate([e for _, e in _embed_chunks(params, dataset)], axis=0)
 
 
 _NEWTON_MAX_ITERATIONS = 200  # the conv-k20 probe fits converge in 20-30

@@ -12,7 +12,7 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,6 +77,11 @@ class ModelConfig:
         return cls(**json.loads(text))
 
 
+def _pools(shape: tuple[int, ...]) -> bool:
+    """The pool rule: a (B,H,W,C) conv output is max-pooled 2x2 when H and W are at least 2."""
+    return len(shape) == 4 and shape[1] >= 2 and shape[2] >= 2
+
+
 def _layer_shapes(cfg: ModelConfig):
     """Walk the layer spec, yielding weight/bias shapes and fan-in/out per layer."""
     h, w, c = cfg.input_hwc
@@ -87,16 +92,15 @@ def _layer_shapes(cfg: ModelConfig):
             _, ks, ch = layer
             if ks > h or ks > w:
                 raise ValueError("conv kernel larger than input")
-            out.append((("conv", ks, c, ch), (ks, ks, c, ch), (ch,), ks * ks * c, ks * ks * ch))
-            h, w = h - ks + 1, w - ks + 1
-            if h >= 2 and w >= 2:
+            out.append(((ks, ks, c, ch), (ch,), ks * ks * c, ks * ks * ch))
+            h, w, c = h - ks + 1, w - ks + 1, ch
+            if _pools((1, h, w, c)):
                 h, w = h // 2, w // 2
-            c = ch
         else:
             _, width = layer
             if flat is None:
                 flat = h * w * c
-            out.append((("fc", flat, width), (flat, width), (width,), flat, width))
+            out.append(((flat, width), (width,), flat, width))
             flat = width
     return out
 
@@ -124,23 +128,13 @@ def init_params(cfg: ModelConfig, k: int, seed) -> ModelParams:
     rng = np.random.default_rng(seed)
     dtype = cfg.np_dtype
     weights, biases = [], []
-    for _, w_shape, b_shape, fan_in, fan_out in _layer_shapes(cfg):
+    for w_shape, b_shape, fan_in, fan_out in _layer_shapes(cfg):
         a = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-a, a, size=w_shape).astype(dtype))
         biases.append(np.zeros(b_shape, dtype=dtype))
     a = np.sqrt(6.0 / (cfg.embed_dim + k))
     w_out = rng.uniform(-a, a, size=(cfg.embed_dim, k)).astype(dtype)
     return ModelParams(config=cfg, weights=weights, biases=biases, output_weights=w_out)
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer caches needed by backward; tied to one input batch."""
-
-    inputs: list[np.ndarray] = field(default_factory=list)  # conv: im2col columns; fc: flat input
-    pre_acts: list[np.ndarray] = field(default_factory=list)  # z before the rectifier
-    pooled: list[bool] = field(default_factory=list)  # conv layers: whether 2x2 pool ran
-    batch: int = 0
 
 
 def _im2col(x: np.ndarray, ks: int) -> np.ndarray:
@@ -168,32 +162,29 @@ def _max_pool(corners: list[np.ndarray]) -> np.ndarray:
     return pooled
 
 
-def forward(params: ModelParams, images: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Compute embeddings (B, E) for an image batch; pure in params and input."""
+def forward(
+    params: ModelParams, images: np.ndarray
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Compute embeddings (B, E) for an image batch; pure in params and input.
+
+    Also returns the trace that backward reads, one (x, a) per layer: x is
+    the layer's input matrix (a conv layer's im2col columns, an fc layer's
+    flattened input) and a = max(x @ W + b, 0) its rectified output, before
+    any pool.
+    """
     cfg = params.config
     x = np.asarray(images)
     if x.ndim != 4 or x.shape[1:] != cfg.input_hwc:
         raise ValueError(f"input shape {x.shape} does not match config {cfg.input_hwc}")
     x = x.astype(cfg.np_dtype, copy=False)
-    trace = ForwardTrace(batch=x.shape[0])
+    trace = []
     for layer, w, b in zip(cfg.layers, params.weights, params.biases):
-        if layer[0] == "conv":
-            cols = _im2col(x, layer[1])
-            trace.inputs.append(cols)
-            z = cols @ w.reshape(-1, w.shape[-1])
-            z += b
-            trace.pre_acts.append(z)
-            x = np.maximum(z, 0)
-            trace.pooled.append(x.shape[1] >= 2 and x.shape[2] >= 2)
-            if trace.pooled[-1]:
-                x = _max_pool(_corners(x))
-        else:
-            x = x.reshape(x.shape[0], -1)
-            trace.inputs.append(x)
-            z = x @ w + b
-            trace.pre_acts.append(z)
-            trace.pooled.append(False)
-            x = np.maximum(z, 0)
+        x = _im2col(x, layer[1]) if layer[0] == "conv" else x.reshape(x.shape[0], -1)
+        a = x @ w.reshape(-1, w.shape[-1])
+        a += b
+        np.maximum(a, 0, out=a)
+        trace.append((x, a))
+        x = _max_pool(_corners(a)) if _pools(a.shape) else a
     return x, trace
 
 
@@ -224,34 +215,32 @@ def score_subset_backward(
 
 
 def backward(
-    params: ModelParams, trace: ForwardTrace, d_embeddings: np.ndarray
+    params: ModelParams, trace: list[tuple[np.ndarray, np.ndarray]], d_embeddings: np.ndarray
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Backpropagate d_embeddings through the backbone.
 
     Returns [(d_weight, d_bias)] per layer in declaration order. Exact
     analytic gradient of whatever scalar produced d_embeddings; the
-    rectifier passes gradient only where the pre-activation is > 0, and
-    max-pool routes gradient to the first maximum of each window in window
-    order (0,0), (0,1), (1,0), (1,1). Activations must be finite: a NaN
-    never equals the window maximum, so its window would get no gradient
-    (train stops on a non-finite loss before that matters).
+    rectifier passes gradient only where the rectified output is > 0
+    (exactly where the pre-activation is), and max-pool routes gradient to
+    the first maximum of each window in window order (0,0), (0,1), (1,0),
+    (1,1). Activations must be finite: a NaN never equals the window
+    maximum, so its window would get no gradient (train stops on a
+    non-finite loss before that matters).
     """
     cfg = params.config
-    if d_embeddings.shape[0] != trace.batch:
+    if d_embeddings.shape[0] != trace[-1][1].shape[0]:
         raise ValueError("trace does not match batch")
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(cfg.layers)
     d_x = d_embeddings.astype(cfg.np_dtype, copy=False)
     for i in range(len(cfg.layers) - 1, -1, -1):
         w = params.weights[i]
-        cols = trace.inputs[i]
-        z = trace.pre_acts[i]
-        if cfg.layers[i][0] == "fc":
-            d_a = d_x
-        elif trace.pooled[i]:
-            corners = _corners(np.maximum(z, 0))
+        cols, a = trace[i]
+        if _pools(a.shape):
+            corners = _corners(a)
             pooled = _max_pool(corners)
             d_pooled = d_x.reshape(pooled.shape)
-            d_a = np.zeros_like(z)
+            d_a = np.zeros_like(a)
             free = np.ones(pooled.shape, dtype=bool)  # windows whose maximum is not yet taken
             for corner, d_corner in zip(corners, _corners(d_a)):
                 hit = corner == pooled
@@ -259,8 +248,8 @@ def backward(
                 free ^= hit
                 d_corner[...] = d_pooled * hit + 0.0  # + 0.0 turns -0.0 (negative * False) into +0.0
         else:
-            d_a = d_x.reshape(z.shape)
-        d_z = d_a * (z > 0)
+            d_a = d_x.reshape(a.shape)
+        d_z = d_a * (a > 0)
         flat_cols = cols.reshape(-1, cols.shape[-1])
         flat_dz = d_z.reshape(-1, d_z.shape[-1])
         grads[i] = ((flat_cols.T @ flat_dz).reshape(w.shape), flat_dz.sum(axis=0))
@@ -270,7 +259,7 @@ def backward(
         if cfg.layers[i][0] == "conv":
             # col2im: each window position adds its slice of d_cols back onto the input
             ks, _, c_in, _ = w.shape
-            b, ho, wo, _ = z.shape
+            b, ho, wo, _ = a.shape
             d_cols = d_x.reshape(b, ho, wo, ks, ks, c_in)
             d_x = np.zeros((b, ho + ks - 1, wo + ks - 1, c_in), dtype=d_cols.dtype)
             for r in range(ks):
@@ -357,7 +346,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, dict]:
                 raise ValueError(f"{path}: array {name}: truncated, {len(raw)} of {n_bytes} bytes")
             named[name] = np.frombuffer(raw, dtype=cfg.np_dtype).reshape(shape).copy()
     shapes = {}
-    for i, (_, w_shape, b_shape, _, _) in enumerate(_layer_shapes(cfg)):
+    for i, (w_shape, b_shape, _, _) in enumerate(_layer_shapes(cfg)):
         shapes[f"layer{i}.weight"], shapes[f"layer{i}.bias"] = w_shape, b_shape
     shapes["output.weight"] = (cfg.embed_dim, header["k"])
     for name, shape in shapes.items():

@@ -65,7 +65,6 @@ class TrainConfig:
 @dataclass
 class TrainLog:
     records: list[dict] = field(default_factory=list)
-    checkpoint_path: str | None = None
 
 
 @dataclass
@@ -134,10 +133,10 @@ def train(
     """Run the SGD loop; deterministic given cfg.seed.
 
     k defaults to 1 + the largest label in the dataset. When
-    checkpoint_path is given the final state is saved there and recorded
-    in the returned TrainLog. A non-finite step loss, or a non-finite
-    parameter at the end of an epoch, raises FloatingPointError naming the
-    epoch and step, and no checkpoint is written.
+    checkpoint_path is given the final state is saved there. A non-finite
+    step loss, or a non-finite parameter at the end of an epoch, raises
+    FloatingPointError naming the epoch and step, and no checkpoint is
+    written.
     """
     if k is None:
         k = 1 + int(dataset.label_flat.max())
@@ -199,7 +198,6 @@ def train(
             step=step_count,
             lr=lr,
         )
-        log.checkpoint_path = checkpoint_path
     return params, log
 
 

@@ -112,13 +112,14 @@ def test_precision_at_k_equals_stable_argsort_oracle(seed, n_classes):
             assert precision_at_k(scorer_params(n_classes), dataset, k=k).value == expected / n
 
 
-def test_extract_features_matches_forward_per_example():
+def test_extract_features_matches_forward_per_example(monkeypatch):
+    monkeypatch.setattr(evaluate, "_ROW_CHUNK", 3)
     cfg = ModelConfig(input_hwc=(5, 5, 2), layers=[("conv", 2, 3), ("fc", 6)], embed_dim=6)
     params = init_params(cfg, k=4, seed=2)
     rng = np.random.default_rng(22)
     images = rng.standard_normal((7, 5, 5, 2)).astype(np.float32)
     dataset = Dataset.from_labels([f"ex{i}" for i in range(7)], images, [[0]] * 7)
-    feats = extract_features(params, dataset, chunk=3)
+    feats = extract_features(params, dataset)
     assert feats.shape == (7, 6)
     for i in range(7):
         single, _ = forward(params, images[i : i + 1])

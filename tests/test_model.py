@@ -265,8 +265,8 @@ def test_odd_spatial_edges_are_truncated_by_pooling():
     params = init_params(cfg, k=2, seed=1)
     e, trace = forward(params, np.random.default_rng(0).standard_normal((1, 6, 6, 1)))
     # conv gives 5x5, the pool keeps the even 4x4 region -> 2x2 cells
-    assert trace.pre_acts[0].shape == (1, 5, 5, 1)
-    assert trace.inputs[1].shape == (1, 4)
+    assert trace[0][1].shape == (1, 5, 5, 1)
+    assert trace[1][0].shape == (1, 4)
 
 
 def reference_pool_windows(a: np.ndarray) -> np.ndarray:
@@ -280,8 +280,10 @@ def reference_pool_windows(a: np.ndarray) -> np.ndarray:
 def reference_pool_route(params: ModelParams, images: np.ndarray, d_embeddings: np.ndarray):
     """Forward and backward through the windowed argmax + put_along_axis max-pool.
 
-    The same arithmetic as model.forward/backward everywhere but the pool;
-    returns (embeddings, [(d_weight, d_bias)] per layer).
+    The same arithmetic as model.forward/backward everywhere but the pool and
+    the rectifier, which keeps z and rectifies a copy (again in backward);
+    returns (embeddings, [(input matrix, rectified output)] per layer,
+    [(d_weight, d_bias)] per layer).
     """
     cfg = params.config
     x = images.astype(cfg.np_dtype)
@@ -295,6 +297,7 @@ def reference_pool_route(params: ModelParams, images: np.ndarray, d_embeddings: 
         if pooled:
             x = reference_pool_windows(x).max(axis=3)
     embeddings = x
+    trace = [(cols, np.maximum(z, 0)) for cols, z, _ in saved]
     grads = [None] * len(cfg.layers)
     d_x = d_embeddings.astype(cfg.np_dtype)
     for i in range(len(cfg.layers) - 1, -1, -1):
@@ -325,7 +328,7 @@ def reference_pool_route(params: ModelParams, images: np.ndarray, d_embeddings: 
             for r in range(ks):
                 for s in range(ks):
                     d_x[:, r : r + ho, s : s + wo, :] += d_cols[:, :, :, r, s, :]
-    return embeddings, grads
+    return embeddings, trace, grads
 
 
 POOL_ROUTE_CASES = {  # input (H, W, C), layers; the comments give each conv's output size
@@ -333,7 +336,10 @@ POOL_ROUTE_CASES = {  # input (H, W, C), layers; the comments give each conv's o
     "odd-edges": ((8, 8, 2), [("conv", 2, 3), ("fc", 6)]),  # 7x7
     "stacked-7x7": ((7, 7, 1), [("conv", 2, 3), ("conv", 2, 3), ("fc", 6)]),  # 6x6, 2x2
     "stacked-16x16": ((16, 16, 1), [("conv", 5, 4), ("conv", 2, 4), ("fc", 8), ("fc", 6)]),  # 12x12, 5x5
+    "unpooled-2x1": ((3, 2, 2), [("conv", 2, 3), ("conv", 1, 4), ("fc", 6)]),  # 2x1, 2x1: below 2x2
+    "fc-only": ((16, 16, 3), [("fc", 64), ("fc", 64)]),  # the fc-k20 and vocab-20k layout
 }
+UNPOOLED_CASES = {"unpooled-2x1", "fc-only"}
 
 
 @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
@@ -355,14 +361,18 @@ def test_pool_route_matches_argmax_reference_bytes(case, dtype, tied):
         d_e = rng.standard_normal((5, cfg.embed_dim))
         e, trace = forward(params, images)
         grads = backward(params, trace, d_e)
-        ref_e, ref_grads = reference_pool_route(params, images, d_e)
+        ref_e, ref_trace, ref_grads = reference_pool_route(params, images, d_e)
         assert e.tobytes() == ref_e.tobytes(), f"seed {seed}"
+        assert len(trace) == len(ref_trace)
+        for i, ((x, a), (ref_x, ref_a)) in enumerate(zip(trace, ref_trace)):
+            assert x.tobytes() == ref_x.tobytes(), f"seed {seed} layer {i} input"
+            assert a.tobytes() == ref_a.tobytes(), f"seed {seed} layer {i} rectified output"
         for i, ((dw, db), (ref_dw, ref_db)) in enumerate(zip(grads, ref_grads)):
             assert dw.dtype == ref_dw.dtype == cfg.np_dtype
             assert dw.tobytes() == ref_dw.tobytes(), f"seed {seed} layer {i} weight"
             assert db.tobytes() == ref_db.tobytes(), f"seed {seed} layer {i} bias"
-        if tied:  # some window's positive maximum is shared, so the route's order is tested
-            wins = reference_pool_windows(np.maximum(trace.pre_acts[0], 0))
+        if tied and case not in UNPOOLED_CASES:  # a shared positive window maximum tests the route's order
+            wins = reference_pool_windows(ref_trace[0][1])
             top = wins.max(axis=3, keepdims=True)
             assert ((wins == top) & (top > 0)).sum(axis=3).max() > 1
 

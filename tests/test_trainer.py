@@ -180,8 +180,7 @@ def test_train_writes_checkpoint_with_rng_state(tmp_path):
     examples, dictionary, model_cfg = small_preset()
     path = str(tmp_path / "run.wlckpt")
     cfg = TrainConfig(seed=5, epoch_size=300, max_epochs=2, batch_size=30)
-    params, log = train(cfg, examples, model_cfg, k=dictionary.k, checkpoint_path=path)
-    assert log.checkpoint_path == path
+    params, _ = train(cfg, examples, model_cfg, k=dictionary.k, checkpoint_path=path)
     loaded, meta = load_checkpoint(path)
     assert loaded.output_weights.tobytes() == params.output_weights.astype(np.float32).tobytes()
     assert meta["rng_algo"] == "numpy-pcg64"
