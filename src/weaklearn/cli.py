@@ -41,7 +41,7 @@ from .evaluate import (
 from .loss import check_bounds
 from .model import ModelConfig, load_checkpoint
 from .textpipe import build_dictionary, load_dictionary, normalize_text, save_dictionary
-from .trainer import TrainConfig, gradient_check, save_trainlog, train
+from .trainer import LOSS_KINDS, TrainConfig, gradient_check, save_trainlog, train
 
 CAPTIONS_FILE = "captions.jsonl"
 TENSORS_FILE = "tensors.bin"
@@ -358,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epoch-size", type=int)
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--lr-init", type=float)
-    p.add_argument("--loss-kind", choices=["multiclass", "one_vs_all"])
+    p.add_argument("--loss-kind", choices=LOSS_KINDS)
     p.add_argument("--validation-fraction", type=float)
     p.add_argument("--full-softmax", action="store_const", const=True)
     p.set_defaults(func=_cmd_train)
@@ -372,7 +372,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--loss-kind", choices=["multiclass", "one_vs_all"], default="multiclass")
+    p.add_argument("--loss-kind", choices=LOSS_KINDS, default="multiclass")
     p.set_defaults(func=_cmd_grad_check)
 
     p = sub.add_parser("eval-words", help="precision@k of word prediction")

@@ -56,7 +56,10 @@ class TranslationPair:
 
 @dataclass
 class ProbeModel:
-    weights: np.ndarray  # (E, C) over np.unique(labels) in ascending order
+    """A fitted probe; it predicts only the classes present in its fit rows."""
+
+    classes: np.ndarray  # (C,) the labels of the fit rows, unique and ascending
+    weights: np.ndarray  # (E, C), column c scores classes[c]
     bias: np.ndarray  # (C,)
     lam: float  # regularization strength of the fit
     iterations: int  # trust-region Newton iterations of the fit
@@ -181,23 +184,29 @@ def _multinomial_objective(xb: np.ndarray, labels: np.ndarray, lam: float):
     return fun, hessp
 
 
-def _fit_multinomial(x: np.ndarray, labels: np.ndarray, n_classes: int, lam: float) -> ProbeModel:
+def _fit_multinomial(x: np.ndarray, labels: np.ndarray, lam: float) -> ProbeModel:
     """L2-regularized softmax regression, solved to its optimum by trust-region Newton.
 
-    Minimizes mean cross-entropy + lam/2 * ||W||^2 (bias unpenalized) from
-    W = 0, b = 0 with scipy's truncated-CG trust-region Newton method
-    (Steihaug 1983; Lin, Weng & Keerthi 2008) and exact Hessian-vector
-    products. It stops at gradient 2-norm < 1e-8 or after
-    _NEWTON_MAX_ITERATIONS iterations, and raises ValueError if the norm is
-    then above 1e-6. lam must be finite and > 0: without the penalty the
-    objective has no minimizer on separable features.
+    Fits one column per class present in labels and no other: a class
+    without rows has no optimum, as its unpenalized bias falls toward -inf.
+    Raises ValueError on fewer than two classes. Minimizes mean
+    cross-entropy + lam/2 * ||W||^2 (bias unpenalized) from W = 0, b = 0
+    with scipy's truncated-CG trust-region Newton method (Steihaug 1983;
+    Lin, Weng & Keerthi 2008) and exact Hessian-vector products. It stops
+    at gradient 2-norm < 1e-8 or after _NEWTON_MAX_ITERATIONS iterations,
+    and raises ValueError if the norm is then above 1e-6. lam must be
+    finite and > 0: without the penalty the objective has no minimizer on
+    separable features.
     """
+    classes, dense = np.unique(labels, return_inverse=True)
+    if classes.size < 2:
+        raise ValueError("single-class input")
     n, e = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
-    fun, hessp = _multinomial_objective(xb, labels, lam)
+    fun, hessp = _multinomial_objective(xb, dense, lam)
     result = minimize(
         fun,
-        np.zeros((e + 1) * n_classes),
+        np.zeros((e + 1) * classes.size),
         jac=True,
         hessp=hessp,
         method="trust-ncg",
@@ -208,8 +217,8 @@ def _fit_multinomial(x: np.ndarray, labels: np.ndarray, n_classes: int, lam: flo
         raise ValueError(
             f"probe fit at lambda {lam:g} stopped after {result.nit} iterations at gradient norm {grad_norm:.3g}"
         )
-    v = result.x.reshape(e + 1, n_classes)
-    return ProbeModel(weights=v[:-1], bias=v[-1], lam=lam, iterations=int(result.nit), grad_norm=grad_norm)
+    v = result.x.reshape(e + 1, classes.size)
+    return ProbeModel(classes, weights=v[:-1], bias=v[-1], lam=lam, iterations=int(result.nit), grad_norm=grad_norm)
 
 
 def linear_probe(
@@ -227,6 +236,10 @@ def linear_probe(
     its optimum on the train split and scored by validation accuracy; the
     best lambda (ties to the smaller one) is refit on train+validation, and
     its test accuracy is reported. The returned ProbeModel is the refit.
+
+    Each fit covers only the classes present in its own rows: the train
+    split for selection, train+validation for the refit. A validation or
+    test row of a class its fit never saw counts as a miss.
     """
     grid = np.logspace(-4, 2, 7) if lambda_grid is None else np.asarray(lambda_grid, dtype=np.float64)
     if grid.ndim != 1 or not grid.size:
@@ -238,10 +251,8 @@ def linear_probe(
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise ValueError("features and labels disagree")
-    classes = np.unique(labels)
-    if classes.size < 2:
+    if np.unique(labels).size < 2:
         raise ValueError("single-class input")
-    dense = np.searchsorted(classes, labels)
 
     u_test = np.array([stable_fraction(f"row{i}", salt=f"probe-test-{seed}") for i in range(len(x))])
     test_mask = u_test >= 0.8
@@ -252,21 +263,19 @@ def linear_probe(
     test_rows = np.flatnonzero(test_mask)
     if not (len(train_rows) and len(val_rows) and len(test_rows)):
         raise ValueError("too few rows to split")
-    if np.unique(dense[train_rows]).size < 2:
-        raise ValueError("single-class input")
 
     best_lam, best_acc = None, -1.0
     for lam in grid.tolist():
-        fit = _fit_multinomial(x[train_rows], dense[train_rows], classes.size, lam)
-        pred = np.argmax(x[val_rows] @ fit.weights + fit.bias, axis=1)
-        acc = float((pred == dense[val_rows]).mean())
+        fit = _fit_multinomial(x[train_rows], labels[train_rows], lam)
+        pred = fit.classes[np.argmax(x[val_rows] @ fit.weights + fit.bias, axis=1)]
+        acc = float((pred == labels[val_rows]).mean())
         if acc > best_acc:
             best_acc, best_lam = acc, lam
 
     fit_rows = np.concatenate([train_rows, val_rows])
-    probe = _fit_multinomial(x[fit_rows], dense[fit_rows], classes.size, best_lam)
-    pred = np.argmax(x[test_rows] @ probe.weights + probe.bias, axis=1)
-    test_acc = float((pred == dense[test_rows]).mean())
+    probe = _fit_multinomial(x[fit_rows], labels[fit_rows], best_lam)
+    pred = probe.classes[np.argmax(x[test_rows] @ probe.weights + probe.bias, axis=1)]
+    test_acc = float((pred == labels[test_rows]).mean())
     report = EvalReport(
         metric="probe_accuracy",
         value=test_acc,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, stable_fraction
 from .evaluate import precision_at_k
-from .loss import multiclass_loss, ova_loss, sampled_multiclass_loss
+from .loss import ova_loss, sampled_multiclass_loss
 from .model import (
     ModelConfig,
     ModelParams,
@@ -262,18 +262,19 @@ def schedule_violations(records: list[dict], cfg: TrainConfig) -> list[str]:
 
 
 def gradient_check(model_cfg: ModelConfig, loss_kind: str, seed) -> float:
-    """Compare analytic gradients against central finite differences.
+    """Compare the training step's analytic gradients against central finite differences.
 
-    Builds a small model (a few hundred parameters) with random biases,
-    perturbs every single parameter by +-1e-4 in 64-bit, and returns the max
+    Runs _batch_grads on one random batch of 4 single-target rows through a
+    small model (a few hundred parameters) with random biases. W's gradient
+    is the step's column gradient scattered into the full matrix, so the
+    columns of classes absent from the batch read exactly 0 both ways.
+    Perturbs every single parameter by +-1e-4 in 64-bit and returns the max
     relative error with denominator max(|analytic|, |numeric|, 1e-8).
     """
     if model_cfg.dtype != "f64":
         raise ValueError("gradient check requires dtype f64")
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"loss_kind must be one of {LOSS_KINDS}")
+    cfg = TrainConfig(loss_kind=loss_kind, batch_size=4)
     k = 10
-    batch = 4
     rng = np.random.default_rng(seed)
     params = init_params(model_cfg, k, seed)
     if params.n_params() > 1000:
@@ -282,43 +283,25 @@ def gradient_check(model_cfg: ModelConfig, loss_kind: str, seed) -> float:
     # kink, where central differences disagree with the analytic gradient
     for bias in params.biases:
         bias[...] = rng.uniform(-0.5, 0.5, size=bias.shape)
-    images = rng.standard_normal((batch, *model_cfg.input_hwc))
-    if loss_kind == "multiclass":
-        y = np.zeros((batch, k))
-        for row in range(batch):
-            y[row, rng.choice(k, size=2, replace=False)] = 1.0
-    else:
-        y = np.zeros((batch, k))
-        for col in range(k):
-            rows = rng.choice(batch, size=int(rng.integers(1, batch)), replace=False)
-            y[rows, col] = 1.0
-    n_pos = y.sum(axis=0)
-    classes = np.arange(k, dtype=np.int64)
+    images = rng.standard_normal((cfg.batch_size, *model_cfg.input_hwc))
+    targets = rng.integers(0, k, size=cfg.batch_size)
+    batch = Batch(images, targets, present_classes=np.unique(targets), ordinals=np.arange(cfg.batch_size))
 
-    def loss_of():
-        e, trace = forward(params, images)
-        logits = score_subset(params, e, classes)
-        lg = multiclass_loss(logits, y) if loss_kind == "multiclass" else ova_loss(logits, y, batch, n_pos)
-        return lg, e, trace
-
-    lg, e, trace = loss_of()
-    d_e, d_w_cols = score_subset_backward(params, e, classes, lg.d_logits)
-    theta = backward(params, trace, d_e)
-    analytic = {f"layer{i}.weight": dw for i, (dw, _) in enumerate(theta)}
-    analytic.update({f"layer{i}.bias": db for i, (_, db) in enumerate(theta)})
-    analytic["output.weight"] = d_w_cols
+    _, grads, classes = _batch_grads(params, batch, cfg, k)
+    d_w = np.zeros_like(params.output_weights)
+    d_w[:, classes] = grads.w_cols
+    analytic = [g for pair in grads.theta for g in pair] + [d_w]
 
     h = 1e-4
     worst = 0.0
-    for name, arr in param_arrays(params):
-        grad = analytic[name]
+    for (_, arr), grad in zip(param_arrays(params), analytic):
         flat = arr.reshape(-1)
         for idx in range(flat.size):
             saved = flat[idx]
             flat[idx] = saved + h
-            up = loss_of()[0].loss
+            up = _batch_grads(params, batch, cfg, k)[0]
             flat[idx] = saved - h
-            down = loss_of()[0].loss
+            down = _batch_grads(params, batch, cfg, k)[0]
             flat[idx] = saved
             numeric = (up - down) / (2 * h)
             a = float(grad.reshape(-1)[idx])

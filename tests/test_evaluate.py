@@ -26,7 +26,7 @@ from weaklearn.evaluate import (
     spearman_similarity,
     translation_precision,
 )
-from weaklearn.data import Dataset
+from weaklearn.data import Dataset, stable_fraction
 from weaklearn.model import ModelConfig, forward, init_params
 from weaklearn.textpipe import Dictionary
 
@@ -152,6 +152,25 @@ def test_linear_probe_handles_non_contiguous_labels():
     assert probe.weights.shape[1] == 3
 
 
+def test_linear_probe_fits_only_classes_present_in_its_fit_rows(monkeypatch):
+    x, y = separable_blobs(np.random.default_rng(24))
+    test_rows = [i for i in range(len(y)) if stable_fraction(f"row{i}", salt="probe-test-0") >= 0.8]
+    y[test_rows[:2]] = 5  # a class that only test rows carry
+    fitted = []
+    fit_multinomial = evaluate._fit_multinomial
+
+    def spy(x, labels, lam):
+        fitted.append(set(labels.tolist()))
+        return fit_multinomial(x, labels, lam)
+
+    monkeypatch.setattr(evaluate, "_fit_multinomial", spy)
+    probe, report = linear_probe(x, y)
+    assert fitted == [{0, 1, 2}] * 8  # seven lambdas and the refit
+    assert probe.classes.tolist() == [0, 1, 2]
+    # the blobs separate, so exactly the two rows of the never-fit class miss
+    assert report.value == 1.0 - 2 / report.n_items
+
+
 def test_linear_probe_is_deterministic_per_seed():
     x, y = separable_blobs(np.random.default_rng(25), n_per=40)
     x = x + 2.0 * np.random.default_rng(1).standard_normal(x.shape)  # make it imperfect
@@ -203,7 +222,7 @@ def test_multinomial_hessp_matches_central_differences_of_the_gradient(lam):
 @pytest.mark.parametrize("lam", [1e-4, 1e-2, 1.0])
 def test_fit_multinomial_reaches_the_optimum(lam):
     x, labels = overlapping_blobs(np.random.default_rng(41))
-    fit = evaluate._fit_multinomial(x, labels, 3, lam)
+    fit = evaluate._fit_multinomial(x, labels, lam)
     assert fit.lam == lam and fit.iterations > 0
     v = np.vstack([fit.weights, fit.bias]).ravel()
     value, grad = reference_objective(v, x, labels, lam)
@@ -221,7 +240,7 @@ def test_fit_multinomial_refuses_to_return_an_unconverged_fit(monkeypatch):
     monkeypatch.setattr(evaluate, "_NEWTON_MAX_ITERATIONS", 2)
     x, labels = overlapping_blobs(np.random.default_rng(41))
     with pytest.raises(ValueError, match="probe fit at lambda 0.01 stopped after 2 iterations at gradient norm"):
-        evaluate._fit_multinomial(x, labels, 3, 1e-2)
+        evaluate._fit_multinomial(x, labels, 1e-2)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from util import random_single_label_dataset, score_examples, scorer_params
+from weaklearn import loss, trainer
 from weaklearn.data import SynthConfig, generate_synthetic
 from weaklearn.model import ModelConfig, forward, init_params, load_checkpoint, param_arrays, score_subset
 from weaklearn.sampler import build_index, make_rng, next_batch
@@ -290,6 +291,25 @@ def test_gradient_check_both_losses():
     assert max(errors) < 1e-5, errors
     with pytest.raises(ValueError, match="requires dtype f64"):
         gradient_check(ModelConfig(input_hwc=(2, 2, 1), layers=[("fc", 2)], embed_dim=2), "multiclass", 0)
+
+
+@pytest.mark.parametrize("loss_kind", ["multiclass", "one_vs_all"])
+def test_gradient_check_catches_a_wrong_step_gradient(monkeypatch, loss_kind):
+    # the step's loss is right but its gradient at the positive logits is scaled by 0.9
+    def sampled(logits, positive_position):
+        lg = loss.sampled_multiclass_loss(logits, positive_position)
+        lg.d_logits[np.arange(len(positive_position)), positive_position] *= 0.9
+        return lg
+
+    def ova(logits, y, n_total, n_pos):
+        lg = loss.ova_loss(logits, y, n_total, n_pos)
+        lg.d_logits[y > 0] *= 0.9
+        return lg
+
+    monkeypatch.setattr(trainer, "sampled_multiclass_loss", sampled)
+    monkeypatch.setattr(trainer, "ova_loss", ova)
+    cfg = ModelConfig(input_hwc=(6, 6, 1), layers=[("conv", 3, 4), ("fc", 16), ("fc", 8)], embed_dim=8, dtype="f64")
+    assert gradient_check(cfg, loss_kind, seed=1) > 1e-2
 
 
 def test_degenerate_zero_model_has_exactly_zero_gradients():
