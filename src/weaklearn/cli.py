@@ -40,7 +40,7 @@ from .evaluate import (
 )
 from .loss import check_bounds
 from .model import ModelConfig, load_checkpoint
-from .textpipe import build_dictionary, load_dictionary, normalize_text, save_dictionary
+from .textpipe import build_dictionary, load_dictionary, normalize_text, open_utf8, save_dictionary
 from .trainer import LOSS_KINDS, TrainConfig, gradient_check, save_trainlog, train
 
 CAPTIONS_FILE = "captions.jsonl"
@@ -91,13 +91,13 @@ def load_config_file(path: str) -> dict:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config not found: {path}")
     if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict):
             raise ValueError("config root must be an object")
         return obj
     parser = configparser.ConfigParser()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         parser.read_string(fh.read())
     return {
         section: {key: _coerce(value) for key, value in parser.items(section)}
@@ -147,8 +147,8 @@ _MODEL_KEYS = {"layers": (str, list), "embed_dim": int, "dtype": str}
 def _config_section(file_cfg: dict, path: str, name: str, types: dict) -> dict:
     """One section of a config file, each value checked against its key's type.
 
-    A float key also takes an int (as a float); only a bool key takes a bool.
-    An unknown key or a value of another type is an error naming the file and key.
+    A float key also takes an int (as a float), but no NaN or infinity; only a bool key takes
+    a bool. An unknown key or a value of another type is an error naming the file and key.
     """
     section = file_cfg.get(name, {})
     if not isinstance(section, dict):
@@ -163,6 +163,8 @@ def _config_section(file_cfg: dict, path: str, name: str, types: dict) -> dict:
         if not isinstance(value, want) or (type(value) is bool and want is not bool):
             expected = " or ".join(t.__name__ for t in (want if isinstance(want, tuple) else (want,)))
             raise ValueError(f"{path}: {name}.{key}: expected {expected}, got {value!r}")
+        if want is float and not math.isfinite(value):
+            raise ValueError(f"{path}: {name}.{key}: expected a finite number, got {value!r}")
         checked[key] = value
     return checked
 
@@ -274,7 +276,7 @@ def _lambda_grid(text: str) -> list[float]:
 def _read_token_lines(path: str, kinds: tuple) -> list[list]:
     """Whitespace-separated fields, one converter in kinds (str or _finite_float) per field."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .textpipe import Dictionary, build_dictionary, encode_targets, normalize_text
+from .textpipe import Dictionary, build_dictionary, encode_targets, normalize_text, open_utf8, undecodable
 
 TENSOR_FORMAT = "WLTENS1"
 TENSOR_MAGIC = f"{TENSOR_FORMAT}\n".encode("ascii")
@@ -108,8 +108,8 @@ class SynthConfig:
             raise ValueError("k, img_size and words_per_image must be positive")
         if self.words_per_image > self.k:
             raise ValueError("words_per_image exceeds k")
-        if self.zipf_exponent < 0 or self.noise_sigma < 0:
-            raise ValueError("zipf_exponent and noise_sigma must be non-negative")
+        if not (0 <= self.zipf_exponent < np.inf and 0 <= self.noise_sigma < np.inf):
+            raise ValueError("zipf_exponent and noise_sigma must be finite and non-negative")
         if self.n_examples < 1:
             raise ValueError("n_examples must be positive")
 
@@ -256,7 +256,13 @@ def read_tensor_container(path: str) -> tuple[np.ndarray, dict[str, int]]:
         images = np.frombuffer(payload, dtype="<f4").reshape(n, h, w, c).copy()
         index: dict[str, int] = {}
         ordinals: set[int] = set()
-        for lineno, line in enumerate(fh.read().decode("utf-8").splitlines(), 1):
+        raw_index = fh.read()
+        try:
+            index_lines = raw_index.decode("utf-8").splitlines()
+        except UnicodeDecodeError:
+            escaped = raw_index.decode("utf-8", errors="surrogateescape")
+            raise undecodable(path, escaped.splitlines(), "index line") from None
+        for lineno, line in enumerate(index_lines, 1):
             if not line:
                 continue
             try:
@@ -289,7 +295,7 @@ def read_captions_jsonl(path: str, image_ids=None) -> list[dict]:
     not in it is an error naming the line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:

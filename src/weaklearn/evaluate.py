@@ -122,11 +122,10 @@ def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
         raise ValueError("empty dataset")
     if dataset.label_flat.max() >= params.k:
         raise ValueError(f"label outside the {params.k} scored classes")
-    classes = np.arange(params.k, dtype=np.int64)
     offsets, flat = dataset.label_offsets, dataset.label_flat
     total = 0.0
     for start, e in _embed_chunks(params, dataset):
-        scores = score_subset(params, e, classes)
+        scores = score_subset(params.output_weights, e)
         chunk = offsets[start : start + len(e) + 1]
         for hits in _top_k_hits(scores, chunk - chunk[0], flat[chunk[0] : chunk[-1]], k).tolist():
             total += hits / k

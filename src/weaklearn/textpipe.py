@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -23,6 +24,24 @@ _DROPPED = re.compile(r"[^a-z\s]")
 
 DICT_FORMAT = "weaklearn-dict v1"
 _DICT_HEADER = re.compile(rf"^#{re.escape(DICT_FORMAT)} K=(\d+) stop=(\d+)$")
+_UNDECODED = re.compile("[\udc80-\udcff]")  # what errors="surrogateescape" makes of a non-UTF-8 byte
+
+
+def undecodable(path: str, lines, label: str = "line") -> ValueError:
+    """The error naming the first of lines (decoded with surrogateescape) that holds a non-UTF-8 byte."""
+    lineno, m = next((n, m) for n, m in enumerate(map(_UNDECODED.search, lines), 1) if m)
+    return ValueError(f"{path}: {label} {lineno}: byte 0x{ord(m.group()) - 0xDC00:02x} is not UTF-8")
+
+
+@contextmanager
+def open_utf8(path: str):
+    """open(path) as UTF-8 text; only once a byte fails to decode is its line looked for."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            raise undecodable(path, fh) from None
 
 
 def normalize_text(text: str) -> list[str]:
@@ -140,7 +159,7 @@ def save_dictionary(dictionary: Dictionary, path: str) -> None:
 
 
 def load_dictionary(path: str) -> Dictionary:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         m = _DICT_HEADER.match(header)
         if m is None:

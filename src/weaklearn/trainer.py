@@ -48,8 +48,8 @@ class TrainConfig:
     full_softmax: bool = False  # score every class instead of batch-present ones
 
     def __post_init__(self):
-        if self.lr_init <= 0 or self.lr_floor <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.lr_init < math.inf and 0 < self.lr_floor < math.inf):
+            raise ValueError("learning rates must be finite and positive")
         if self.batch_size < 1 or self.epoch_size < 1 or self.max_epochs < 0:
             raise ValueError("batch_size, epoch_size and max_epochs must be positive")
         if self.loss_kind not in LOSS_KINDS:
@@ -83,26 +83,26 @@ def split_dataset(dataset: Dataset, validation_fraction: float) -> tuple[np.ndar
 
 
 def _batch_grads(params: ModelParams, batch: Batch, cfg: TrainConfig, k: int):
-    """Loss, gradients and scored classes for one batch."""
+    """Loss, gradients and scored classes for one batch; W[:, classes] is gathered once, for both passes."""
     if cfg.full_softmax:
         classes = np.arange(k, dtype=np.int64)
     else:
         classes = batch.present_classes
+    w_cols = params.output_weights[:, classes]
     e, trace = forward(params, batch.images)
-    logits = score_subset(params, e, classes)
+    logits = score_subset(w_cols, e)
     if cfg.loss_kind == "multiclass":
         lg = sampled_multiclass_loss(logits, np.searchsorted(classes, batch.targets))
     else:
         positive = classes[None, :] == batch.targets[:, None]
         lg = ova_loss(logits, positive.astype(logits.dtype), len(batch.targets), positive.sum(axis=0))
-    d_e, d_w_cols = score_subset_backward(params, e, classes, lg.d_logits)
+    d_e, d_w_cols = score_subset_backward(w_cols, e, lg.d_logits)
     theta = backward(params, trace, d_e)
     return lg.loss, StepGrads(theta=theta, w_cols=d_w_cols), classes
 
 
 def sgd_step(params: ModelParams, grads: StepGrads, present_classes: np.ndarray, lr: float) -> ModelParams:
     """In-place plain SGD; only the present-class columns of W are written."""
-    present_classes = np.asarray(present_classes, dtype=np.int64)
     if len(grads.theta) != len(params.weights):
         raise ValueError("shape mismatch")
     if grads.w_cols.shape != (params.output_weights.shape[0], present_classes.size):

@@ -364,3 +364,88 @@ def test_similarity_rating_that_is_not_a_number_names_its_line(capsys, data_dir,
                                     "--pairs", str(pairs)])
         assert code == 2
         assert f"error: {pairs}: line 3: not a finite number in 'wa wc {rating}'" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_refuses_a_non_finite_lr_init(capsys, data_dir, tmp_path, value):
+    code, _, err = run(capsys, train_args(data_dir, tmp_path / "run", ["--lr-init", value]))
+    assert code == 2
+    assert "error: learning rates must be finite and positive" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, key",
+    [
+        ("run.json", '{"train": {"lr_floor": NaN}}', "train.lr_floor: expected a finite number, got nan"),
+        ("run.ini", "[train]\nlr_init = Infinity\n", "train.lr_init: expected a finite number, got inf"),
+    ],
+    ids=["json-nan", "ini-infinity"],
+)
+def test_config_refuses_a_non_finite_float(capsys, data_dir, tmp_path, name, text, key):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, _, err = run(capsys, train_args(data_dir, tmp_path / "run", ["--config", str(cfg)]))
+    assert code == 2
+    assert f"error: {cfg}: {key}" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--zipf"])
+def test_gen_synth_refuses_a_non_finite_setting(capsys, tmp_path, flag):
+    code, out, err = run(capsys, ["gen-synth", flag, "nan", "--n-examples", "20", "--out-dir", str(tmp_path / "d")])
+    assert code == 2
+    assert out == ""
+    assert "must be finite and non-negative" in err
+    assert not (tmp_path / "d").exists()
+
+
+def test_build_dict_caption_byte_that_is_not_utf8_names_its_line(capsys, tmp_path):
+    captions = tmp_path / "captions.jsonl"
+    captions.write_bytes(b'{"id": "a", "caption": "red fox", "image": "a"}\n{"id": "b", "caption": "\xff", "image": "b"}\n')
+    code, _, err = run(capsys, ["build-dict", "--captions", str(captions), "--out", str(tmp_path / "dict.tsv")])
+    assert code == 2
+    assert f"error: {captions}: line 2: byte 0xff is not UTF-8" in err
+    assert not (tmp_path / "dict.tsv").exists()
+
+
+def test_train_caption_byte_that_is_not_utf8_names_its_line(capsys, data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    captions = data / "captions.jsonl"
+    n_lines = len(captions.read_text().splitlines())
+    with open(captions, "ab") as fh:
+        fh.write(b'{"id": "extra", "caption": "caf\xe9", "image": "ex000"}\n')
+    code, _, err = run(capsys, train_args(data, tmp_path / "run"))
+    assert code == 2
+    assert f"error: {captions}: line {n_lines + 1}: byte 0xe9 is not UTF-8" in err
+
+
+def test_dictionary_byte_that_is_not_utf8_names_its_line(capsys, data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    (data / "dict.tsv").write_bytes(b"#weaklearn-dict v1 K=3 stop=0\nalpha\t5\nbet\xc3\t3\ngamma\t2\n")
+    code, _, err = run(capsys, train_args(data, tmp_path / "run"))
+    assert code == 2
+    assert f"error: {data / 'dict.tsv'}: line 3: byte 0xc3 is not UTF-8" in err
+
+
+@pytest.mark.parametrize("name, text", [("run.json", b'{"train":\n {"seed": 1 \xff}}\n'), ("run.ini", b"[train]\nseed = 1 \xff\n")])
+def test_config_byte_that_is_not_utf8_names_its_line(capsys, data_dir, tmp_path, name, text):
+    cfg = tmp_path / name
+    cfg.write_bytes(text)
+    code, _, err = run(capsys, train_args(data_dir, tmp_path / "run", ["--config", str(cfg)]))
+    assert code == 2
+    assert f"error: {cfg}: line 2: byte 0xff is not UTF-8" in err
+
+
+def test_word_list_byte_that_is_not_utf8_names_its_line(capsys, data_dir, tmp_path):
+    ckpt = tmp_path / "model.wlckpt"
+    cfg = ModelConfig(input_hwc=(4, 4, 1), layers=[("fc", 3)], embed_dim=3)
+    save_checkpoint(str(ckpt), init_params(cfg, k=6, seed=1), rng_algo="numpy-pcg64", rng_state={}, step=0, lr=0.1)
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_bytes(b"wa wb\nwa \xffwc\n")
+    code, _, err = run(capsys, ["eval-translate", "--ckpt", str(ckpt), "--dict", str(data_dir / "dict.tsv"),
+                                "--pairs", str(pairs)])
+    assert code == 2
+    assert f"error: {pairs}: line 2: byte 0xff is not UTF-8" in err

@@ -131,6 +131,13 @@ def test_synth_config_validation():
         SynthConfig(noise_sigma=-0.1)
 
 
+@pytest.mark.parametrize("key", ["zipf_exponent", "noise_sigma"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_synth_config_refuses_a_non_finite_setting(key, value):
+    with pytest.raises(ValueError, match="must be finite and non-negative"):
+        SynthConfig(**{key: value})
+
+
 def test_container_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     images = {f"img{i}": rng.standard_normal((4, 3, 2)).astype(np.float32) for i in range(5)}
@@ -177,6 +184,14 @@ def test_container_rejects_bad_index(tmp_path):
         read_tensor_container(str(path))
     path.write_bytes(good.replace(b"a\t0\n", b""))
     with pytest.raises(DimensionMismatchError, match="index holds 0 entries, header says n=1"):
+        read_tensor_container(str(path))
+
+
+def test_container_index_byte_that_is_not_utf8_names_its_index_line(tmp_path):
+    path = tmp_path / "tensors.bin"
+    write_tensor_container(str(path), {key: np.zeros((1, 1, 1), dtype=np.float32) for key in "ab"})
+    path.write_bytes(path.read_bytes().replace(b"b\t1\n", b"b\xff\t1\n"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: index line 2: byte 0xff is not UTF-8$"):
         read_tensor_container(str(path))
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ def test_precision_at_k_validation():
         precision_at_k(params, score_examples(np.ones((1, 4)), [[1, 4]]), k=1)
 
 
+def test_precision_at_k_scores_w_without_copying_it():
+    """Memory is bounded by the chunk's scores, not by a second copy of W."""
+    cfg = ModelConfig(input_hwc=(1, 1, 4), layers=[("fc", 64)], embed_dim=64)
+    params = init_params(cfg, k=50_000, seed=0)
+    rng = np.random.default_rng(3)
+    images = rng.standard_normal((8, 1, 1, 4)).astype(np.float32)
+    dataset = Dataset.from_labels([f"ex{i}" for i in range(8)], images, [[i, 49_990 + i] for i in range(8)])
+    tracemalloc.start()
+    try:
+        precision_at_k(params, dataset, k=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.output_weights.nbytes / 2
+
+
 # Scores drawn from few values, so ties are common, including -0.0 == 0.0.
 _TIE_VALUES = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan], dtype=np.float32)
 
@@ -104,7 +121,7 @@ def test_precision_at_k_equals_stable_argsort_oracle(seed, n_classes):
     with pytest.MonkeyPatch.context() as mp:
         # score rows are the images themselves, unclipped by any layer
         mp.setattr(evaluate, "forward", lambda params, images: (images.reshape(len(images), -1), None))
-        mp.setattr(evaluate, "score_subset", lambda params, e, classes: e[:, classes])
+        mp.setattr(evaluate, "score_subset", lambda w_cols, e: e)
         for k in (1, n_classes - 1, n_classes, n_classes + 3):
             expected = 0.0
             for i in range(n):

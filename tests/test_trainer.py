@@ -46,6 +46,13 @@ def test_config_validation():
         TrainConfig(min_epochs_per_lr=0)
 
 
+@pytest.mark.parametrize("key", ["lr_init", "lr_floor"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_config_refuses_a_non_finite_learning_rate(key, value):
+    with pytest.raises(ValueError, match="learning rates must be finite and positive"):
+        TrainConfig(**{key: value})
+
+
 def test_sgd_step_zero_gradient_is_identity():
     params = scorer_params(4, dtype="f64")
     before = {name: arr.tobytes() for name, arr in param_arrays(params)}
@@ -326,8 +333,8 @@ def test_degenerate_zero_model_has_exactly_zero_gradients():
     classes = np.arange(3)
 
     e, trace = forward(params, images)
-    lg = multiclass_loss(score_subset(params, e, classes), y)
-    d_e, d_cols = score_subset_backward(params, e, classes, lg.d_logits)
+    lg = multiclass_loss(score_subset(params.output_weights[:, classes], e), y)
+    d_e, d_cols = score_subset_backward(params.output_weights[:, classes], e, lg.d_logits)
     theta = backward(params, trace, d_e)
     assert not d_cols.any()
     assert all(not dw.any() and not db.any() for dw, db in theta)
@@ -341,9 +348,9 @@ def test_degenerate_zero_model_has_exactly_zero_gradients():
             saved = flat[idx]
             flat[idx] = saved + h
             e_up, _ = forward(params, images)
-            up = multiclass_loss(score_subset(params, e_up, classes), y).loss
+            up = multiclass_loss(score_subset(params.output_weights[:, classes], e_up), y).loss
             flat[idx] = saved - h
             e_dn, _ = forward(params, images)
-            down = multiclass_loss(score_subset(params, e_dn, classes), y).loss
+            down = multiclass_loss(score_subset(params.output_weights[:, classes], e_dn), y).loss
             flat[idx] = saved
             assert up == down
