@@ -87,18 +87,34 @@ def _coerce(value: str):
 
 
 def load_config_file(path: str) -> dict:
-    """Read a sectioned config file: JSON, or INI-style key = value sections."""
+    """Read a sectioned config file: JSON, or INI-style key = value sections.
+
+    A file that does not parse raises ValueError naming the file and line.
+    """
     if not os.path.exists(path):
         raise FileNotFoundError(f"config not found: {path}")
+    with open_utf8(path) as fh:
+        text = fh.read()
     if path.endswith(".json"):
-        with open_utf8(path) as fh:
-            obj = json.load(fh)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {exc.lineno}: {exc.msg} at column {exc.colno}") from None
         if not isinstance(obj, dict):
-            raise ValueError("config root must be an object")
+            line = 1 + text[: len(text) - len(text.lstrip())].count("\n")
+            raise ValueError(f"{path}: line {line}: config root must be an object")
         return obj
     parser = configparser.ConfigParser()
-    with open_utf8(path) as fh:
-        parser.read_string(fh.read())
+    try:
+        parser.read_string(text)
+    except configparser.MissingSectionHeaderError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: key before any [section] header") from None
+    except configparser.ParsingError as exc:
+        raise ValueError(f"{path}: line {exc.errors[0][0]}: expected key = value") from None
+    except configparser.DuplicateSectionError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: repeated section [{exc.section}]") from None
+    except configparser.DuplicateOptionError as exc:
+        raise ValueError(f"{path}: line {exc.lineno}: repeated key {exc.option!r} in [{exc.section}]") from None
     return {
         section: {key: _coerce(value) for key, value in parser.items(section)}
         for section in parser.sections()

@@ -250,10 +250,9 @@ def read_tensor_container(path: str) -> tuple[np.ndarray, dict[str, int]]:
         if m is None:
             raise MalformedHeaderError(f"{path}: line 2: malformed header")
         n, h, w, c = (int(g) for g in m.groups())
-        payload = fh.read(n * h * w * c * 4)
-        if len(payload) != n * h * w * c * 4:
+        images = np.empty((n, h, w, c), dtype="<f4")
+        if fh.readinto(images) != images.nbytes:
             raise DimensionMismatchError(f"{path}: dimension mismatch: payload shorter than n*h*w*c")
-        images = np.frombuffer(payload, dtype="<f4").reshape(n, h, w, c).copy()
         index: dict[str, int] = {}
         ordinals: set[int] = set()
         raw_index = fh.read()

@@ -94,27 +94,43 @@ def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _top_k_hits(scores: np.ndarray, label_offsets: np.ndarray, label_flat: np.ndarray, k: int) -> np.ndarray:
-    """Per row i, how many of its labels label_flat[label_offsets[i] : label_offsets[i + 1]]
-    (sorted unique, as a Dataset holds them) fall in the row's top k."""
-    lengths = np.diff(label_offsets)
-    rows = np.repeat(np.arange(len(scores)), lengths)
-    slot = np.arange(rows.size) - np.repeat(label_offsets[:-1], lengths)  # position within the row
-    hits = np.zeros(len(scores), dtype=np.int64)
-    for s in range(int(lengths.max(initial=0))):
-        in_slot = slot == s
-        r = rows[in_slot]
-        hits[r] += _label_ranks(scores if r.size == len(scores) else scores[r], label_flat[in_slot]) < k
-    return hits
+def _kth_largest(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th largest score (1 <= k <= row length), NaN ranking last.
+
+    One partition of a negated copy: NaN sorts after every number, so it
+    ranks last in descending score order. scores itself is not changed.
+    """
+    neg = np.negative(scores)
+    neg.partition(k - 1, axis=1)
+    return -neg[:, k - 1]
+
+
+def _top_k_hits(scores: np.ndarray, rows: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Whether scores[rows[i], labels[i]] falls in its row's top k, in the _label_ranks order.
+
+    A label scoring above its row's k-th largest score is a hit and one below
+    it a miss. Only a label equal to that cut, or with NaN on either side,
+    is ranked exactly by _label_ranks, on its own row. For k >= K every
+    label is a hit.
+    """
+    if k >= scores.shape[1]:
+        return np.ones(labels.size, dtype=bool)
+    value = scores[rows, labels]
+    cut = _kth_largest(scores, k)[rows]
+    hit = value > cut
+    tied = ~(hit | (value < cut))
+    hit[tied] = _label_ranks(scores[rows[tied]], labels[tied]) < k
+    return hit
 
 
 def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
     """Mean over examples of |top-k predictions ∩ labels| / k.
 
-    Top k is the _label_ranks order, but no row is sorted: each label's
-    rank is counted in one pass over its row (O(n * labels * K) comparisons),
-    and rows are scored and ranked _ROW_CHUNK (512) at a time, so memory is
-    bounded by 512 x K scores. Per-row values are summed in dataset order.
+    Top k is the _label_ranks order, but no row is sorted: one partition per
+    row finds its k-th largest score, and each label is compared with it
+    (_top_k_hits). Rows are scored and ranked _ROW_CHUNK (512) at a time, so
+    memory is bounded by a few 512 x K score arrays. Per-row values are
+    summed in dataset order.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -127,8 +143,10 @@ def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
     for start, e in _embed_chunks(params, dataset):
         scores = score_subset(params.output_weights, e)
         chunk = offsets[start : start + len(e) + 1]
-        for hits in _top_k_hits(scores, chunk - chunk[0], flat[chunk[0] : chunk[-1]], k).tolist():
-            total += hits / k
+        rows = np.repeat(np.arange(len(e)), np.diff(chunk))
+        hits = _top_k_hits(scores, rows, flat[chunk[0] : chunk[-1]], k)
+        for count in np.bincount(rows[hits], minlength=len(e)).tolist():
+            total += count / k
     return EvalReport(
         metric="precision_at_k",
         value=total / len(dataset),
@@ -366,8 +384,9 @@ def translation_precision(
     direction "forward" queries word1 against the set of word2 entries;
     "reverse" swaps the roles. Candidates are exactly the target-side
     words of the scorable pairs; ties rank by ascending dictionary index.
-    A target's rank is counted as in precision_at_k, 64 queries at a time,
-    so memory is bounded by 64 x candidates similarities.
+    Hits are decided as in precision_at_k, by each query's k-th largest
+    similarity (_top_k_hits), 64 queries at a time, so memory is bounded by
+    a few 64 x candidates similarity arrays.
     """
     if direction not in ("forward", "reverse"):
         raise ValueError("direction must be forward or reverse")
@@ -391,7 +410,8 @@ def translation_precision(
     positions = np.searchsorted(candidates, targets)
     hits = 0
     for start, sims in _column_sims(queries, cand_cols):
-        hits += int(np.count_nonzero(_label_ranks(sims, positions[start : start + len(sims)]) < k))
+        rows = np.arange(len(sims))
+        hits += int(np.count_nonzero(_top_k_hits(sims, rows, positions[start : start + len(sims)], k)))
     return EvalReport(
         metric=f"translation_precision_{direction}",
         value=hits / len(scorable),
@@ -414,7 +434,7 @@ def dump_embeddings(
     neighbor lists hold the top cosine neighbors of each word, self
     excluded, ties by ascending index, as a stable argsort of each row
     would give them; 64 words are scored at a time, and only the entries
-    at or above each row's n-th largest cosine are sorted.
+    at or above each row's n-th largest cosine (_kth_largest) are sorted.
     """
     w = np.asarray(w_out, dtype=np.float64)
     if w.shape[1] != dictionary.k:
@@ -427,16 +447,14 @@ def dump_embeddings(
             writer.writerow([word] + [f"{v:.8e}" for v in w[:, j]])
     unit = _unit_columns(w)
     n_take = max(0, min(n_neighbors, dictionary.k - 1))
-    kth = max(n_take - 1, 0)
     neighbors = {}
     for start, sims in _column_sims(unit, unit):
         rows = np.arange(len(sims))
         sims[rows, start + rows] = -np.inf
-        neg = np.negative(sims, out=sims)
-        cuts = np.partition(neg, kth, axis=1)[:, kth]  # the n-th smallest -cosine per row
-        for j, (row, cut) in enumerate(zip(neg, cuts), start):
-            candidates = np.flatnonzero(~(row > cut))  # keeps every tie at the cut, and NaNs
-            top = candidates[np.argsort(row[candidates], kind="stable")[:n_take]]
+        cuts = _kth_largest(sims, max(n_take, 1))
+        for j, (row, cut) in enumerate(zip(sims, cuts), start):
+            candidates = np.flatnonzero(~(row < cut))  # keeps every tie at the cut, and NaNs
+            top = candidates[np.argsort(-row[candidates], kind="stable")[:n_take]]
             neighbors[dictionary.words[j]] = [dictionary.words[t] for t in top.tolist()]
     with open(neighbors_path, "w", encoding="utf-8") as fh:
         json.dump(neighbors, fh, sort_keys=True, indent=1)

@@ -391,6 +391,41 @@ def test_config_refuses_a_non_finite_float(capsys, data_dir, tmp_path, name, tex
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("run.json", '{"train": {"seed": 1,}}', "line 1: Expecting property name enclosed in double quotes at column 22"),
+        ("run.json", "\n [1, 2]\n", "line 2: config root must be an object"),
+        ("run.ini", "[train]\nseed = 1\nlr_init\n", "line 3: expected key = value"),
+        ("run.ini", "seed = 1\n", "line 1: key before any [section] header"),
+        ("run.ini", "[train]\nseed = 1\nseed = 2\n", "line 3: repeated key 'seed' in [train]"),
+        ("run.ini", "[train]\n[model]\n[train]\n", "line 3: repeated section [train]"),
+    ],
+    ids=["json-trailing-comma", "json-list-root", "ini-line-without-equals", "ini-no-section",
+         "ini-repeated-key", "ini-repeated-section"],
+)
+def test_config_that_does_not_parse_names_its_file_and_line(capsys, data_dir, tmp_path, name, text, where):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, _, err = run(capsys, train_args(data_dir, tmp_path / "run", ["--config", str(cfg)]))
+    assert code == 2
+    assert f"error: {cfg}: {where}" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_truncated_tensor_payload_exits_two_naming_the_file(capsys, data_dir, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    tensors = data / "tensors.bin"
+    raw = tensors.read_bytes()
+    header_end = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    tensors.write_bytes(raw[: header_end + 20])
+    code, _, err = run(capsys, train_args(data, tmp_path / "run"))
+    assert code == 2
+    assert f"error: {tensors}: dimension mismatch: payload shorter than n*h*w*c" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("flag", ["--noise", "--zipf"])
 def test_gen_synth_refuses_a_non_finite_setting(capsys, tmp_path, flag):
     code, out, err = run(capsys, ["gen-synth", flag, "nan", "--n-examples", "20", "--out-dir", str(tmp_path / "d")])

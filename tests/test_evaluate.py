@@ -129,6 +129,45 @@ def test_precision_at_k_equals_stable_argsort_oracle(seed, n_classes):
             assert precision_at_k(scorer_params(n_classes), dataset, k=k).value == expected / n
 
 
+@pytest.mark.parametrize("k", [1, 10])
+def test_precision_at_k_cut_rule_at_large_k_equals_stable_argsort_oracle(k):
+    """K = 2 048 rows with labels tied at the row's k-th value (-0.0 == 0.0 too), NaN labels,
+    and rows holding more than K - k NaNs, so the cut itself is NaN."""
+    rng = np.random.default_rng(k)
+    n, n_classes = 64, 2048
+    scores = rng.standard_normal((n, n_classes)).astype(np.float32)
+    labels = []
+    for i, row in enumerate(scores):
+        kind = i % 4
+        if kind == 1:  # the k-th value is a zero, tied with zeros of both signs
+            row[:] = -np.abs(row) - 1.0
+            row[rng.choice(n_classes, k - 1, replace=False)] = 1.0
+            zeros = rng.choice(np.flatnonzero(row < 0), 30, replace=False)
+            row[zeros] = np.where(rng.random(30) < 0.5, -0.0, 0.0)
+        elif kind == 2:  # NaN scores, some of them labels
+            row[rng.choice(n_classes, 200, replace=False)] = np.nan
+        elif kind == 3:  # fewer than k numbers: the rest of the row is NaN
+            row[rng.choice(n_classes, n_classes - k // 2, replace=False)] = np.nan
+        order = np.argsort(-row, kind="stable")
+        if kind in (0, 2):  # copies of the k-th value before and after its own index
+            row[rng.choice(n_classes, 6, replace=False)] = row[order[k - 1]]
+            order = np.argsort(-row, kind="stable")
+        tied = np.flatnonzero((row == row[order[k - 1]]) | (np.isnan(row) & np.isnan(row[order[k - 1]])))
+        picked = np.concatenate([tied[:8], tied[-8:], order[:k:3], rng.choice(n_classes, 3)])
+        if kind == 2:
+            picked = np.concatenate([picked, np.flatnonzero(np.isnan(row))[:5]])
+        labels.append(picked)
+    dataset = score_examples(scores, labels)
+    order = np.argsort(-scores, axis=1, kind="stable")
+    expected = 0.0
+    for i in range(n):
+        expected += len(set(order[i, :k].tolist()) & set(labels[i].tolist())) / k
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "forward", lambda params, images: (images.reshape(len(images), -1), None))
+        mp.setattr(evaluate, "score_subset", lambda w_cols, e: e)
+        assert precision_at_k(scorer_params(n_classes), dataset, k=k).value == expected / n
+
+
 def test_extract_features_matches_forward_per_example(monkeypatch):
     monkeypatch.setattr(evaluate, "_ROW_CHUNK", 3)
     cfg = ModelConfig(input_hwc=(5, 5, 2), layers=[("conv", 2, 3), ("fc", 6)], embed_dim=6)
