@@ -90,6 +90,7 @@ def load_config_file(path: str) -> dict:
     """Read a sectioned config file: JSON, or INI-style key = value sections.
 
     A file that does not parse raises ValueError naming the file and line.
+    INI values are not interpolated: "%" reads literally, as in JSON.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"config not found: {path}")
@@ -104,7 +105,7 @@ def load_config_file(path: str) -> dict:
             line = 1 + text[: len(text) - len(text.lstrip())].count("\n")
             raise ValueError(f"{path}: line {line}: config root must be an object")
         return obj
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.MissingSectionHeaderError as exc:
@@ -197,10 +198,15 @@ def _cmd_train(args) -> int:
             train_section[key] = getattr(args, key)
     cfg = TrainConfig(**train_section)
 
+    try:
+        layers = parse_layers(model_section.get("layers", "fc:64,fc:64"))
+    except ValueError as exc:  # only a config file's value can be malformed
+        raise ValueError(f"{args.config}: model.layers: {exc}") from None
+
     dictionary, dataset, dropped = _load_data_dir(args.data_dir)
     model_cfg = ModelConfig(
         input_hwc=dataset.images.shape[1:],
-        layers=parse_layers(model_section.get("layers", "fc:64,fc:64")),
+        layers=layers,
         embed_dim=model_section.get("embed_dim", 64),
         dtype=model_section.get("dtype", "f32"),
     )

@@ -94,29 +94,33 @@ def _label_ranks(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _kth_largest(scores: np.ndarray, k: int) -> np.ndarray:
+def _kth_largest(scores: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
     """Each row's k-th largest score (1 <= k <= row length), NaN ranking last.
 
     One partition of a negated copy: NaN sorts after every number, so it
     ranks last in descending score order. scores itself is not changed.
+    work, if given, has at least scores' rows and its columns and dtype;
+    its leading rows take the negated copy in place of a fresh array.
     """
-    neg = np.negative(scores)
+    neg = np.negative(scores, out=None if work is None else work[: len(scores)])
     neg.partition(k - 1, axis=1)
     return -neg[:, k - 1]
 
 
-def _top_k_hits(scores: np.ndarray, rows: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+def _top_k_hits(
+    scores: np.ndarray, rows: np.ndarray, labels: np.ndarray, k: int, work: np.ndarray | None = None
+) -> np.ndarray:
     """Whether scores[rows[i], labels[i]] falls in its row's top k, in the _label_ranks order.
 
     A label scoring above its row's k-th largest score is a hit and one below
     it a miss. Only a label equal to that cut, or with NaN on either side,
     is ranked exactly by _label_ranks, on its own row. For k >= K every
-    label is a hit.
+    label is a hit. work is _kth_largest's workspace.
     """
     if k >= scores.shape[1]:
         return np.ones(labels.size, dtype=bool)
     value = scores[rows, labels]
-    cut = _kth_largest(scores, k)[rows]
+    cut = _kth_largest(scores, k, work)[rows]
     hit = value > cut
     tied = ~(hit | (value < cut))
     hit[tied] = _label_ranks(scores[rows[tied]], labels[tied]) < k
@@ -129,7 +133,8 @@ def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
     Top k is the _label_ranks order, but no row is sorted: one partition per
     row finds its k-th largest score, and each label is compared with it
     (_top_k_hits). Rows are scored and ranked _ROW_CHUNK (512) at a time, so
-    memory is bounded by a few 512 x K score arrays. Per-row values are
+    memory is two min(n, 512) x K chunk buffers per call, the scores and the
+    partition's workspace, each reused by every chunk. Per-row values are
     summed in dataset order.
     """
     if k < 1:
@@ -139,12 +144,14 @@ def precision_at_k(params: ModelParams, dataset: Dataset, k: int) -> EvalReport:
     if dataset.label_flat.max() >= params.k:
         raise ValueError(f"label outside the {params.k} scored classes")
     offsets, flat = dataset.label_offsets, dataset.label_flat
+    buf = np.empty((min(len(dataset), _ROW_CHUNK), params.k), dtype=params.config.np_dtype)
+    work = np.empty_like(buf)
     total = 0.0
     for start, e in _embed_chunks(params, dataset):
-        scores = score_subset(params.output_weights, e)
+        scores = score_subset(params.output_weights, e, out=buf[: len(e)])
         chunk = offsets[start : start + len(e) + 1]
         rows = np.repeat(np.arange(len(e)), np.diff(chunk))
-        hits = _top_k_hits(scores, rows, flat[chunk[0] : chunk[-1]], k)
+        hits = _top_k_hits(scores, rows, flat[chunk[0] : chunk[-1]], k, work)
         for count in np.bincount(rows[hits], minlength=len(e)).tolist():
             total += count / k
     return EvalReport(
@@ -304,7 +311,11 @@ def linear_probe(
 
 
 def _unit_columns(w_out: np.ndarray) -> np.ndarray:
-    """Columns scaled to unit norm; zero columns stay zero."""
+    """Columns scaled to unit norm; zero columns stay zero.
+
+    The norms' summation order depends on w_out's memory layout, so the word
+    evals pass a C-order float64 copy and any layout of W gives the same bits.
+    """
     norms = np.linalg.norm(w_out, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
     return w_out / safe
@@ -331,7 +342,7 @@ def analogy_accuracy(
     looked_up = [[w2i.get(w) for w in (q.a, q.b, q.c, q.d)] for q in questions]
     idx = np.array([row for row in looked_up if None not in row], dtype=np.int64).reshape(-1, 4)
     skipped = len(questions) - len(idx)
-    unit = _unit_columns(np.asarray(w_out, dtype=np.float64))
+    unit = _unit_columns(np.asarray(w_out, dtype=np.float64, order="C"))
     if not unit.any(axis=0)[idx[:, :3]].all():
         raise ValueError("zero-norm embedding column")
     targets = unit[:, idx[:, 1]] - unit[:, idx[:, 0]] + unit[:, idx[:, 2]]
@@ -349,7 +360,7 @@ def spearman_similarity(
 ) -> EvalReport:
     """Spearman rank correlation of model cosines (0 at a zero column) against human ratings."""
     w2i = dictionary.word_to_index
-    unit = _unit_columns(np.asarray(w_out, dtype=np.float64))
+    unit = _unit_columns(np.asarray(w_out, dtype=np.float64, order="C"))
     cosines, ratings = [], []
     skipped = 0
     for pair in pairs:
@@ -393,7 +404,7 @@ def translation_precision(
     if k < 1:
         raise ValueError("k must be positive")
     w2i = dictionary.word_to_index
-    w = np.asarray(w_out, dtype=np.float64)
+    w = np.asarray(w_out, dtype=np.float64, order="C")
     scorable = []
     skipped = 0
     for pair in pairs:
@@ -436,7 +447,7 @@ def dump_embeddings(
     would give them; 64 words are scored at a time, and only the entries
     at or above each row's n-th largest cosine (_kth_largest) are sorted.
     """
-    w = np.asarray(w_out, dtype=np.float64)
+    w = np.asarray(w_out, dtype=np.float64, order="C")
     if w.shape[1] != dictionary.k:
         raise ValueError("embedding count differs from dictionary size")
     if neighbors_path is None:

@@ -188,12 +188,15 @@ def forward(
     return x, trace
 
 
-def score_subset(w_cols: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
+def score_subset(w_cols: np.ndarray, embeddings: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logits embeddings @ w_cols, over whichever columns of W the caller passes.
 
-    Kept as a function, not inlined, because perfbench times it at this name.
+    out, if given, is a (B, |w_cols|) array of the logits' dtype that takes
+    the logits and is returned, so a chunked caller reuses one buffer; the
+    values are the same. Kept as a function, not inlined, because perfbench
+    times it at this name.
     """
-    return embeddings @ w_cols
+    return np.matmul(embeddings, w_cols, out=out)
 
 
 def score_subset_backward(

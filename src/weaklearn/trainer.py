@@ -143,6 +143,8 @@ def train(
     train_rows, val_rows = split_dataset(dataset, cfg.validation_fraction)
     init_ss, sample_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init_params(model_cfg, k, init_ss)
+    # column-major, so each step's gather and scatter of W[:, classes] reads and writes contiguous columns
+    params.output_weights = np.asfortranarray(params.output_weights)
     gen = make_rng(sample_ss)
     log = TrainLog()
     lr = cfg.lr_init

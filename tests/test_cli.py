@@ -187,6 +187,21 @@ def test_config_values_are_checked_not_cast(capsys, data_dir, tmp_path, name, te
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [("run.ini", "[model]\nlayers = fc:8 %\n"), ("run.json", '{"model": {"layers": "fc:8 %"}}')],
+    ids=["ini", "json"],
+)
+def test_config_layers_error_names_file_and_key_and_reads_percent_literally(capsys, data_dir, tmp_path, name, text):
+    """An INI "%" is literal, as in JSON, so both formats reach the layer-spec check."""
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    code, _, err = run(capsys, train_args(data_dir, tmp_path / "run", ["--config", str(cfg)]))
+    assert code == 2
+    assert f"error: {cfg}: model.layers: bad layer spec: 'fc:8 %'" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_config_float_key_takes_an_int(capsys, data_dir, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"train": {"lr_init": 1, "full_softmax": True}}))

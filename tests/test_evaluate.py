@@ -28,7 +28,7 @@ from weaklearn.evaluate import (
     translation_precision,
 )
 from weaklearn.data import Dataset, stable_fraction
-from weaklearn.model import ModelConfig, forward, init_params
+from weaklearn.model import ModelConfig, forward, init_params, score_subset
 from weaklearn.textpipe import Dictionary
 
 
@@ -104,6 +104,80 @@ def test_precision_at_k_scores_w_without_copying_it():
     assert peak < params.output_weights.nbytes / 2
 
 
+def test_precision_at_k_scores_every_chunk_into_one_buffer(monkeypatch):
+    """Three chunks (4, 4 and 2 rows) score into one buffer and partition in one workspace."""
+    cfg = ModelConfig(input_hwc=(2, 2, 1), layers=[("fc", 8)], embed_dim=8)
+    params = init_params(cfg, k=30, seed=4)
+    rng = np.random.default_rng(8)
+    images = rng.standard_normal((10, 2, 2, 1)).astype(np.float32)
+    labels = [np.sort(rng.choice(30, 3, replace=False)) for _ in range(10)]
+    dataset = Dataset.from_labels([f"ex{i}" for i in range(10)], images, labels)
+    expected = precision_at_k(params, dataset, k=5).value
+    kth_largest = evaluate._kth_largest
+    scored, works = [], []
+
+    def recording_score_subset(w_cols, e, out=None):
+        scored.append(score_subset(w_cols, e, out=out))
+        return scored[-1]
+
+    def recording_kth_largest(scores, k, work=None):
+        works.append(work)
+        return kth_largest(scores, k, work)
+
+    monkeypatch.setattr(evaluate, "_ROW_CHUNK", 4)
+    monkeypatch.setattr(evaluate, "score_subset", recording_score_subset)
+    monkeypatch.setattr(evaluate, "_kth_largest", recording_kth_largest)
+    assert precision_at_k(params, dataset, k=5).value == expected
+    assert [len(s) for s in scored] == [4, 4, 2] and len(works) == 3
+    assert all(np.shares_memory(scored[0], s) for s in scored[1:])
+    assert all(np.shares_memory(works[0], w) for w in works[1:])
+    assert not np.shares_memory(scored[0], works[0])
+
+
+def test_w_layout_changes_no_eval_bits(tmp_path):
+    """precision@k and the word evals give equal reports and files for a C-order and a column-major W.
+
+    Columns 0 and 2 are e0 and column 1 is e0 plus 1e-8 in every other row
+    (columns 3 and 4 are e1, an analogy offset of zero). A row-by-row sum of
+    squares drops those 1e-8 squares and a column-wise pairwise sum keeps
+    them, so column 1's norm, and with it every tie at cosine 1 against e0,
+    depends on the layout of the float64 copy the evals normalize.
+    """
+    e_dim, k = 16, 40
+    rng = np.random.default_rng(11)
+    w = rng.standard_normal((e_dim, k)).astype(np.float32)
+    w[:, 0] = w[:, 2] = np.eye(e_dim)[0]
+    w[:, 1] = 1e-8
+    w[0, 1] = 1.0
+    w[:, 3] = w[:, 4] = np.eye(e_dim)[1]
+    words = [f"w{j}" for j in range(k)]
+    dictionary = make_dictionary(words)
+    questions = [AnalogyQuestion("w3", "w4", "w0", "w1")]
+    questions += [AnalogyQuestion(*rng.choice(words, 4, replace=False)) for _ in range(20)]
+    sim_pairs = [SimilarityPair("w0", "w2", 1.0), SimilarityPair("w0", "w1", 2.0), SimilarityPair("w0", "w3", 0.0)]
+    sim_pairs += [SimilarityPair(*rng.choice(words, 2, replace=False), float(r)) for r in rng.random(20)]
+    trans_pairs = [TranslationPair("w0", "w1"), TranslationPair("w5", "w2")]
+    trans_pairs += [TranslationPair(*rng.choice(words, 2, replace=False)) for _ in range(20)]
+    cfg = ModelConfig(input_hwc=(2, 2, 1), layers=[("fc", e_dim)], embed_dim=e_dim)
+    images = rng.standard_normal((600, 2, 2, 1)).astype(np.float32)
+    labels = [np.sort(rng.choice(k, 3, replace=False)) for _ in range(600)]
+    dataset = Dataset.from_labels([f"ex{i}" for i in range(600)], images, labels)
+    results = []
+    for order in "CF":
+        w_out = np.asarray(w, order=order)
+        params = init_params(cfg, k, seed=1)
+        params.output_weights = w_out
+        reports = [precision_at_k(params, dataset, k=n) for n in (1, 10)]
+        reports += [analogy_accuracy(w_out, questions, dictionary), spearman_similarity(w_out, sim_pairs, dictionary)]
+        reports += [translation_precision(w_out, trans_pairs, dictionary, direction=d, k=n)
+                    for d in ("forward", "reverse") for n in (1, 3)]
+        csv_path = tmp_path / f"{order}.csv"
+        neighbors_path = dump_embeddings(w_out, dictionary, str(csv_path), n_neighbors=3)
+        with open(neighbors_path, "rb") as fh:
+            results.append(([r.to_json() for r in reports], csv_path.read_bytes(), fh.read()))
+    assert results[0] == results[1]
+
+
 # Scores drawn from few values, so ties are common, including -0.0 == 0.0.
 _TIE_VALUES = np.array([-np.inf, -1.5, -0.0, 0.0, 0.25, 2.0, np.inf, np.nan], dtype=np.float32)
 
@@ -121,7 +195,7 @@ def test_precision_at_k_equals_stable_argsort_oracle(seed, n_classes):
     with pytest.MonkeyPatch.context() as mp:
         # score rows are the images themselves, unclipped by any layer
         mp.setattr(evaluate, "forward", lambda params, images: (images.reshape(len(images), -1), None))
-        mp.setattr(evaluate, "score_subset", lambda w_cols, e: e)
+        mp.setattr(evaluate, "score_subset", lambda w_cols, e, out=None: e)
         for k in (1, n_classes - 1, n_classes, n_classes + 3):
             expected = 0.0
             for i in range(n):
@@ -164,7 +238,7 @@ def test_precision_at_k_cut_rule_at_large_k_equals_stable_argsort_oracle(k):
         expected += len(set(order[i, :k].tolist()) & set(labels[i].tolist())) / k
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "forward", lambda params, images: (images.reshape(len(images), -1), None))
-        mp.setattr(evaluate, "score_subset", lambda w_cols, e: e)
+        mp.setattr(evaluate, "score_subset", lambda w_cols, e, out=None: e)
         assert precision_at_k(scorer_params(n_classes), dataset, k=k).value == expected / n
 
 

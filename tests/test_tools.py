@@ -25,6 +25,18 @@ def test_artifact_digest_prints_one_line_of_digests():
     assert all(len(value) == 64 and int(value, 16) >= 0 for value in result.values())
 
 
+
+def test_artifact_digest_prints_one_line_per_seed():
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "artifact_digest.py"), "--workload", "fc-k20",
+         "--seed", "3", "--seed", "2"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [(r["workload"], r["seed"]) for r in (first, second)] == [("fc-k20", 3), ("fc-k20", 2)]
+    assert sorted(first) == sorted(second) and first["checkpoint"] != second["checkpoint"]
+
 def test_bench_pairs_writes_one_pair_of_toy_runs(tmp_path):
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "tools", "bench_pairs.py"), "--parent", ROOT, "--change", ROOT,

@@ -8,7 +8,15 @@ import pytest
 from util import random_single_label_dataset, score_examples, scorer_params
 from weaklearn import loss, trainer
 from weaklearn.data import SynthConfig, generate_synthetic
-from weaklearn.model import ModelConfig, forward, init_params, load_checkpoint, param_arrays, score_subset
+from weaklearn.model import (
+    ModelConfig,
+    forward,
+    init_params,
+    load_checkpoint,
+    param_arrays,
+    save_checkpoint,
+    score_subset,
+)
 from weaklearn.sampler import build_index, make_rng, next_batch
 from weaklearn.trainer import (
     StepGrads,
@@ -354,3 +362,42 @@ def test_degenerate_zero_model_has_exactly_zero_gradients():
             down = multiclass_loss(score_subset(params.output_weights[:, classes], e_dn), y).loss
             flat[idx] = saved
             assert up == down
+
+
+def _bits(arr):
+    return arr.dtype.str, arr.shape, np.ascontiguousarray(arr).tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg", [TrainConfig(), TrainConfig(loss_kind="one_vs_all"), TrainConfig(full_softmax=True)],
+    ids=["multiclass", "one_vs_all", "full_softmax"],
+)
+def test_w_layout_changes_no_step_or_checkpoint_bits(tmp_path, cfg):
+    """A C-order and a column-major copy of one W give the same loss, gradients, updated W and checkpoint."""
+    k = 500
+    model_cfg = ModelConfig(input_hwc=(2, 2, 1), layers=[("fc", 16), ("fc", 64)], embed_dim=64)
+    dataset = random_single_label_dataset(400, k, np.random.default_rng(5))
+    batch = next_batch(build_index(dataset, num_classes=k), 128, make_rng(6), dataset)
+    results = []
+    for order in "CF":
+        params = init_params(model_cfg, k, seed=7)
+        params.output_weights = np.asarray(params.output_weights, order=order)
+        loss_val, grads, classes = _batch_grads(params, batch, cfg, k)
+        sgd_step(params, grads, classes, lr=0.1)
+        assert params.output_weights.flags[f"{order}_CONTIGUOUS"]
+        path = tmp_path / f"{order}.wlckpt"
+        save_checkpoint(str(path), params, rng_algo="numpy-pcg64", rng_state={}, step=1, lr=0.1)
+        theta = [_bits(g) for pair in grads.theta for g in pair]
+        results.append((loss_val, theta, _bits(grads.w_cols), _bits(params.output_weights), path.read_bytes()))
+    assert results[0] == results[1]
+
+
+def test_train_holds_w_column_major_and_checkpoints_it_row_major(tmp_path):
+    examples, _, model_cfg = small_preset()
+    cfg = TrainConfig(max_epochs=1, epoch_size=100, batch_size=20, seed=1)
+    path = str(tmp_path / "ckpt.wlckpt")
+    params, _ = train(cfg, examples, model_cfg, checkpoint_path=path)
+    assert params.output_weights.flags.f_contiguous
+    loaded, _ = load_checkpoint(path)
+    assert loaded.output_weights.flags.c_contiguous
+    np.testing.assert_array_equal(loaded.output_weights, params.output_weights)

@@ -1,6 +1,7 @@
 """Digests of every artifact of one perfbench workload run, to compare two trees byte for byte.
 
     python3 tools/artifact_digest.py --workload fc-k20 --seed 1
+    python3 tools/artifact_digest.py --workload all --seed 1 --seed 4
 
 Builds the workload's inputs with perfbench/inputs.make_inputs in a temporary
 directory, then runs build-dict -> train -> eval-words (k 1 and 10) ->
@@ -13,6 +14,9 @@ directory's path replaced by "<work>"), both dump-embeddings files and
 eval-probe's "selected lambda" stderr line. The stderr config lines hold
 paths and wall times are not reproducible, so both are left out. Two trees
 print equal lines exactly when these bytes are equal.
+
+--seed may be given more than once, and --workload all takes every
+workload; one line is printed per (workload, seed), workloads in name order.
 """
 
 from __future__ import annotations
@@ -99,12 +103,14 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "perfbench", "workloads.json"), encoding="utf-8") as fh:
         specs = {name: spec for name, spec in json.load(fh).items() if "synth" in spec}
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(specs))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", required=True, choices=["all", *sorted(specs)])
+    parser.add_argument("--seed", type=int, required=True, action="append")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="artifact-digest-") as work_dir:
-        result = digests(specs[args.workload], args.seed, work_dir)
-    print(json.dumps({"workload": args.workload, "seed": args.seed, **result}, sort_keys=True))
+    for workload in sorted(specs) if args.workload == "all" else [args.workload]:
+        for seed in args.seed:
+            with tempfile.TemporaryDirectory(prefix="artifact-digest-") as work_dir:
+                result = digests(specs[workload], seed, work_dir)
+            print(json.dumps({"workload": workload, "seed": seed, **result}, sort_keys=True), flush=True)
     return 0
 
 
