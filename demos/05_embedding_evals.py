@@ -12,9 +12,6 @@ import numpy as np
 
 from weaklearn.data import SynthConfig, generate_synthetic
 from weaklearn.evaluate import (
-    AnalogyQuestion,
-    SimilarityPair,
-    TranslationPair,
     analogy_accuracy,
     dump_embeddings,
     extract_features,
@@ -57,19 +54,19 @@ for word in words[:4]:
 
 # synthetic classes have no real analogy structure, so treat these as
 # mechanics demos: the numbers mean "how often geometry happens to align"
-questions = [AnalogyQuestion(words[0], words[1], words[2], words[3]),
-             AnalogyQuestion(words[4], words[5], words[6], words[7])]
+questions = [(words[0], words[1], words[2], words[3]),
+             (words[4], words[5], words[6], words[7])]
 print(f"analogy accuracy: {analogy_accuracy(w, questions, dictionary).value:.2f} "
       f"on {len(questions)} questions")
 
 rng = np.random.default_rng(3)
-pairs = [SimilarityPair(words[i], words[j], float(rng.uniform(0, 5)))
+pairs = [(words[i], words[j], float(rng.uniform(0, 5)))
          for i, j in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]]
 sim = spearman_similarity(w, pairs, dictionary)
 print(f"spearman vs random ratings: {sim.value:+.2f} over {sim.n_items} pairs "
       "(near zero, as it should be)")
 
-bi = [TranslationPair(words[i], words[i + 4]) for i in range(4)]
+bi = [(words[i], words[i + 4]) for i in range(4)]
 for direction in ("forward", "reverse"):
     t = translation_precision(w, bi, dictionary, direction=direction, k=1)
     print(f"translation {direction}: p@1 = {t.value:.2f} over {t.n_items} pairs")

@@ -27,9 +27,6 @@ from .data import (
     write_tensor_container,
 )
 from .evaluate import (
-    AnalogyQuestion,
-    SimilarityPair,
-    TranslationPair,
     analogy_accuracy,
     dump_embeddings,
     extract_features,
@@ -316,7 +313,7 @@ def _read_token_lines(path: str, kinds: tuple) -> list[list]:
 def _cmd_eval_analogy(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
     dictionary = load_dictionary(args.dict)
-    questions = [AnalogyQuestion(*parts) for parts in _read_token_lines(args.questions, (str,) * 4)]
+    questions = _read_token_lines(args.questions, (str,) * 4)
     report = analogy_accuracy(params.output_weights, questions, dictionary)
     print(report.to_json())
     return 0
@@ -325,7 +322,7 @@ def _cmd_eval_analogy(args) -> int:
 def _cmd_eval_sim(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
     dictionary = load_dictionary(args.dict)
-    pairs = [SimilarityPair(*parts) for parts in _read_token_lines(args.pairs, (str, str, _finite_float))]
+    pairs = _read_token_lines(args.pairs, (str, str, _finite_float))
     report = spearman_similarity(params.output_weights, pairs, dictionary)
     print(report.to_json())
     return 0
@@ -334,10 +331,8 @@ def _cmd_eval_sim(args) -> int:
 def _cmd_eval_translate(args) -> int:
     params, _ = load_checkpoint(args.ckpt)
     dictionary = load_dictionary(args.dict)
-    pairs = [TranslationPair(*parts) for parts in _read_token_lines(args.pairs, (str, str))]
-    report = translation_precision(
-        params.output_weights, pairs, dictionary, direction=args.direction, k=args.k
-    )
+    pairs = _read_token_lines(args.pairs, (str, str))
+    report = translation_precision(params.output_weights, pairs, dictionary, direction=args.direction, k=args.k)
     print(report.to_json())
     return 0
 

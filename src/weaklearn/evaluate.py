@@ -34,27 +34,6 @@ class EvalReport:
 
 
 @dataclass
-class AnalogyQuestion:
-    a: str
-    b: str
-    c: str
-    d: str
-
-
-@dataclass
-class SimilarityPair:
-    word1: str
-    word2: str
-    rating: float
-
-
-@dataclass
-class TranslationPair:
-    word1: str
-    word2: str
-
-
-@dataclass
 class ProbeModel:
     """A fitted probe; it predicts only the classes present in its fit rows."""
 
@@ -310,12 +289,28 @@ def linear_probe(
     return probe, report
 
 
-def _unit_columns(w_out: np.ndarray) -> np.ndarray:
-    """Columns scaled to unit norm; zero columns stay zero.
+def _word_rows(w_out: np.ndarray, dictionary: Dictionary, rows: list, n_words: int):
+    """(w, idx, kept): the word evals' float64 W and the dictionary indices of their rows.
 
-    The norms' summation order depends on w_out's memory layout, so the word
-    evals pass a C-order float64 copy and any layout of W gives the same bits.
+    Refuses a W whose column count is not dictionary.k. w is a C-order
+    float64 copy of w_out: _unit_columns' norms sum row by row on a C-order
+    array and pairwise on a column-major one, so any layout of W gives the
+    same bits. The first n_words words of each row are looked up in one pass;
+    kept holds the positions of the rows whose words all are in the
+    dictionary and idx, shape (len(kept), n_words), their indices.
     """
+    w = np.asarray(w_out, dtype=np.float64, order="C")
+    if w.shape[1] != dictionary.k:
+        raise ValueError(f"embedding count {w.shape[1]} differs from dictionary size {dictionary.k}")
+    get = dictionary.word_to_index.get
+    idx = np.array([get(word, -1) for row in rows for word in row[:n_words]], dtype=np.int64)
+    idx = idx.reshape(len(rows), n_words)
+    kept = np.flatnonzero((idx >= 0).all(axis=1))
+    return w, idx[kept], kept
+
+
+def _unit_columns(w_out: np.ndarray) -> np.ndarray:
+    """Columns scaled to unit norm; zero columns stay zero."""
     norms = np.linalg.norm(w_out, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
     return w_out / safe
@@ -331,18 +326,16 @@ def _column_sims(queries: np.ndarray, candidates: np.ndarray):
 
 
 def analogy_accuracy(
-    w_out: np.ndarray, questions: list[AnalogyQuestion], dictionary: Dictionary
+    w_out: np.ndarray, questions: list[tuple[str, str, str, str]], dictionary: Dictionary
 ) -> EvalReport:
-    """Accuracy of predicting D from unit(w_B) - unit(w_A) + unit(w_C).
+    """Accuracy of predicting D from unit(w_B) - unit(w_A) + unit(w_C) over (a, b, c, d) rows.
 
     The argmax-cosine search excludes A, B and C (first max on ties);
     questions with any out-of-dictionary word are skipped and counted.
     """
-    w2i = dictionary.word_to_index
-    looked_up = [[w2i.get(w) for w in (q.a, q.b, q.c, q.d)] for q in questions]
-    idx = np.array([row for row in looked_up if None not in row], dtype=np.int64).reshape(-1, 4)
-    skipped = len(questions) - len(idx)
-    unit = _unit_columns(np.asarray(w_out, dtype=np.float64, order="C"))
+    w, idx, _ = _word_rows(w_out, dictionary, questions, 4)
+    unit = _unit_columns(w)
+    del w  # held through the search, the float64 copy would add 8·E·K bytes to its peak
     if not unit.any(axis=0)[idx[:, :3]].all():
         raise ValueError("zero-norm embedding column")
     targets = unit[:, idx[:, 1]] - unit[:, idx[:, 0]] + unit[:, idx[:, 2]]
@@ -352,47 +345,41 @@ def analogy_accuracy(
         sims[np.arange(len(sims))[:, None], chunk[:, :3]] = -np.inf
         correct += int(np.count_nonzero(sims.argmax(axis=1) == chunk[:, 3]))
     value = correct / len(idx) if len(idx) else 0.0
-    return EvalReport(metric="analogy_accuracy", value=value, k=None, n_items=len(idx), n_skipped=skipped)
+    return EvalReport(
+        metric="analogy_accuracy", value=value, k=None, n_items=len(idx), n_skipped=len(questions) - len(idx)
+    )
 
 
 def spearman_similarity(
-    w_out: np.ndarray, pairs: list[SimilarityPair], dictionary: Dictionary
+    w_out: np.ndarray, pairs: list[tuple[str, str, float]], dictionary: Dictionary
 ) -> EvalReport:
-    """Spearman rank correlation of model cosines (0 at a zero column) against human ratings."""
-    w2i = dictionary.word_to_index
-    unit = _unit_columns(np.asarray(w_out, dtype=np.float64, order="C"))
-    cosines, ratings = [], []
-    skipped = 0
-    for pair in pairs:
-        i, j = w2i.get(pair.word1), w2i.get(pair.word2)
-        if i is None or j is None:
-            skipped += 1
-            continue
-        cosines.append(float(unit[:, i] @ unit[:, j]))
-        ratings.append(pair.rating)
-    if len(cosines) < 2:
+    """Spearman rank correlation of (w1, w2, rating) rows' model cosines (0 at a zero column) and ratings."""
+    w, idx, kept = _word_rows(w_out, dictionary, pairs, 2)
+    if len(idx) < 2:
         raise ValueError("fewer than 2 scorable pairs")
+    unit = _unit_columns(w)
+    cosines = [float(unit[:, i] @ unit[:, j]) for i, j in idx.tolist()]
     rank_c = rankdata(cosines, method="average")
-    rank_r = rankdata(ratings, method="average")
+    rank_r = rankdata([pairs[r][2] for r in kept.tolist()], method="average")
     if np.all(rank_c == rank_c[0]) or np.all(rank_r == rank_r[0]):
         rho = 0.0  # a constant sequence carries no ordering signal
     else:
         rho = float(np.corrcoef(rank_c, rank_r)[0, 1])
     return EvalReport(
-        metric="spearman_similarity", value=rho, k=None, n_items=len(cosines), n_skipped=skipped
+        metric="spearman_similarity", value=rho, k=None, n_items=len(idx), n_skipped=len(pairs) - len(idx)
     )
 
 
 def translation_precision(
     w_out: np.ndarray,
-    pairs: list[TranslationPair],
+    pairs: list[tuple[str, str]],
     dictionary: Dictionary,
     direction: str = "forward",
     k: int = 1,
 ) -> EvalReport:
-    """Precision@k of cross-language matching by cosine ranking.
+    """Precision@k of cross-language matching by cosine ranking over (w1, w2) rows.
 
-    direction "forward" queries word1 against the set of word2 entries;
+    direction "forward" queries w1 against the set of w2 entries;
     "reverse" swaps the roles. Candidates are exactly the target-side
     words of the scorable pairs; ties rank by ascending dictionary index.
     Hits are decided as in precision_at_k, by each query's k-th largest
@@ -403,32 +390,19 @@ def translation_precision(
         raise ValueError("direction must be forward or reverse")
     if k < 1:
         raise ValueError("k must be positive")
-    w2i = dictionary.word_to_index
-    w = np.asarray(w_out, dtype=np.float64, order="C")
-    scorable = []
-    skipped = 0
-    for pair in pairs:
-        if pair.word1 in w2i and pair.word2 in w2i:
-            scorable.append(pair if direction == "forward" else TranslationPair(pair.word2, pair.word1))
-        else:
-            skipped += 1
-    if not scorable:
+    w, idx, _ = _word_rows(w_out, dictionary, pairs, 2)
+    if not len(idx):
         raise ValueError("empty candidate set")
-    targets = [w2i[p.word2] for p in scorable]
-    candidates = np.unique(targets)
+    queries, targets = idx.T if direction == "forward" else idx.T[::-1]
+    candidates, positions = np.unique(targets, return_inverse=True)
     cand_cols = _unit_columns(w[:, candidates])
-    queries = _unit_columns(w[:, [w2i[p.word1] for p in scorable]])
-    positions = np.searchsorted(candidates, targets)
     hits = 0
-    for start, sims in _column_sims(queries, cand_cols):
+    for start, sims in _column_sims(_unit_columns(w[:, queries]), cand_cols):
         rows = np.arange(len(sims))
         hits += int(np.count_nonzero(_top_k_hits(sims, rows, positions[start : start + len(sims)], k)))
+    n = len(idx)
     return EvalReport(
-        metric=f"translation_precision_{direction}",
-        value=hits / len(scorable),
-        k=k,
-        n_items=len(scorable),
-        n_skipped=skipped,
+        metric=f"translation_precision_{direction}", value=hits / n, k=k, n_items=n, n_skipped=len(pairs) - n
     )
 
 
@@ -447,9 +421,7 @@ def dump_embeddings(
     would give them; 64 words are scored at a time, and only the entries
     at or above each row's n-th largest cosine (_kth_largest) are sorted.
     """
-    w = np.asarray(w_out, dtype=np.float64, order="C")
-    if w.shape[1] != dictionary.k:
-        raise ValueError("embedding count differs from dictionary size")
+    w, _, _ = _word_rows(w_out, dictionary, [], 0)
     if neighbors_path is None:
         neighbors_path = os.path.splitext(path)[0] + "_neighbors.json"
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -19,9 +19,6 @@ from conftest import record
 from util import score_examples, scorer_params
 from weaklearn.data import Dataset, SynthConfig, generate_synthetic, nearest_prototype_precision
 from weaklearn.evaluate import (
-    AnalogyQuestion,
-    SimilarityPair,
-    TranslationPair,
     analogy_accuracy,
     precision_at_k,
     spearman_similarity,
@@ -264,7 +261,7 @@ def test_criterion_08_eval_metrics_match_brute_force():
     questions, hits = [], 0
     for _ in range(30):
         ia, ib, ic, id_ = rng.choice(k_classes, size=4, replace=False)
-        questions.append(AnalogyQuestion(words[ia], words[ib], words[ic], words[id_]))
+        questions.append((words[ia], words[ib], words[ic], words[id_]))
         target = unit[:, ib] - unit[:, ia] + unit[:, ic]
         sims = [-np.inf if j in (ia, ib, ic) else float(target @ unit[:, j])
                 for j in range(k_classes)]
@@ -275,17 +272,17 @@ def test_criterion_08_eval_metrics_match_brute_force():
     pairs = []
     for _ in range(40):
         i, j = rng.choice(k_classes, size=2, replace=False)
-        pairs.append(SimilarityPair(words[i], words[j], float(rng.integers(0, 6))))
-    cosines = [float(unit[:, dictionary.word_to_index[p.word1]]
-                     @ unit[:, dictionary.word_to_index[p.word2]]) for p in pairs]
-    expected_rho = scipy.stats.spearmanr(cosines, [p.rating for p in pairs]).statistic
+        pairs.append((words[i], words[j], float(rng.integers(0, 6))))
+    cosines = [float(unit[:, dictionary.word_to_index[p[0]]]
+                     @ unit[:, dictionary.word_to_index[p[1]]]) for p in pairs]
+    expected_rho = scipy.stats.spearmanr(cosines, [p[2] for p in pairs]).statistic
     rho_gap = abs(spearman_similarity(w_out, pairs, dictionary).value - expected_rho)
     assert rho_gap < 1e-12
 
     # translation: exact agreement, both directions
-    bi_pairs = [TranslationPair(words[i], words[i + 20]) for i in range(12)]
+    bi_pairs = [(words[i], words[i + 20]) for i in range(12)]
     for direction in ("forward", "reverse"):
-        oriented = [(p.word1, p.word2) if direction == "forward" else (p.word2, p.word1)
+        oriented = [(p[0], p[1]) if direction == "forward" else (p[1], p[0])
                     for p in bi_pairs]
         candidates = sorted({dictionary.word_to_index[t] for _, t in oriented})
         t_hits = 0

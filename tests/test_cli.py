@@ -8,6 +8,7 @@ import pytest
 
 from weaklearn.cli import main, parse_layers
 from weaklearn.model import ModelConfig, init_params, save_checkpoint
+from weaklearn.textpipe import Dictionary, save_dictionary
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +270,33 @@ def test_word_level_eval_commands(capsys, data_dir, tmp_path):
     assert code == 0
     assert emb.exists() and (tmp_path / "emb_neighbors.json").exists()
     assert sum(1 for _ in open(emb)) == 6
+
+
+def test_word_evals_refuse_a_dictionary_whose_k_differs_from_the_checkpoint(capsys, tmp_path):
+    ckpt = tmp_path / "model.wlckpt"
+    cfg = ModelConfig(input_hwc=(4, 4, 1), layers=[("fc", 3)], embed_dim=3)
+    save_checkpoint(str(ckpt), init_params(cfg, k=20, seed=1), rng_algo="numpy-pcg64", rng_state={}, step=0, lr=0.1)
+    words = [f"w{i:02d}" for i in range(30)]
+    dict_path = tmp_path / "dict.tsv"
+    save_dictionary(Dictionary(words=words, counts=np.arange(30, 0, -1), stop_count=0), str(dict_path))
+    questions = tmp_path / "questions.txt"
+    questions.write_text("w00 w01 w02 w03\nw04 w05 w06 w25\n")
+    sims = tmp_path / "sims.txt"
+    sims.write_text("w00 w01 1.0\nw02 w25 2.0\nw03 w04 0.5\n")
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("w00 w01\nw02 w25\n")
+    emb = tmp_path / "emb.csv"
+    for argv in (
+        ["eval-analogy", "--questions", str(questions)],
+        ["eval-sim", "--pairs", str(sims)],
+        ["eval-translate", "--pairs", str(pairs)],
+        ["eval-translate", "--pairs", str(pairs), "--direction", "reverse"],
+        ["dump-embeddings", "--out", str(emb)],
+    ):
+        code, out, err = run(capsys, [*argv, "--ckpt", str(ckpt), "--dict", str(dict_path)])
+        assert (code, out) == (2, "")
+        assert "error: embedding count 20 differs from dictionary size 30" in err
+    assert not emb.exists()
 
 
 def test_gen_synth_outputs(data_dir):

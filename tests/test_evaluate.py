@@ -16,9 +16,6 @@ from hypothesis import strategies as st
 from util import score_examples, scorer_params
 from weaklearn import evaluate
 from weaklearn.evaluate import (
-    AnalogyQuestion,
-    SimilarityPair,
-    TranslationPair,
     analogy_accuracy,
     dump_embeddings,
     extract_features,
@@ -152,12 +149,12 @@ def test_w_layout_changes_no_eval_bits(tmp_path):
     w[:, 3] = w[:, 4] = np.eye(e_dim)[1]
     words = [f"w{j}" for j in range(k)]
     dictionary = make_dictionary(words)
-    questions = [AnalogyQuestion("w3", "w4", "w0", "w1")]
-    questions += [AnalogyQuestion(*rng.choice(words, 4, replace=False)) for _ in range(20)]
-    sim_pairs = [SimilarityPair("w0", "w2", 1.0), SimilarityPair("w0", "w1", 2.0), SimilarityPair("w0", "w3", 0.0)]
-    sim_pairs += [SimilarityPair(*rng.choice(words, 2, replace=False), float(r)) for r in rng.random(20)]
-    trans_pairs = [TranslationPair("w0", "w1"), TranslationPair("w5", "w2")]
-    trans_pairs += [TranslationPair(*rng.choice(words, 2, replace=False)) for _ in range(20)]
+    questions = [("w3", "w4", "w0", "w1")]
+    questions += [tuple(rng.choice(words, 4, replace=False)) for _ in range(20)]
+    sim_pairs = [("w0", "w2", 1.0), ("w0", "w1", 2.0), ("w0", "w3", 0.0)]
+    sim_pairs += [(*rng.choice(words, 2, replace=False), float(r)) for r in rng.random(20)]
+    trans_pairs = [("w0", "w1"), ("w5", "w2")]
+    trans_pairs += [tuple(rng.choice(words, 2, replace=False)) for _ in range(20)]
     cfg = ModelConfig(input_hwc=(2, 2, 1), layers=[("fc", e_dim)], embed_dim=e_dim)
     images = rng.standard_normal((600, 2, 2, 1)).astype(np.float32)
     labels = [np.sort(rng.choice(k, 3, replace=False)) for _ in range(600)]
@@ -412,7 +409,7 @@ def test_analogy_matches_brute_force():
     expected_hits = 0
     for _ in range(20):
         ia, ib, ic, id_ = rng.choice(12, size=4, replace=False)
-        questions.append(AnalogyQuestion(words[ia], words[ib], words[ic], words[id_]))
+        questions.append((words[ia], words[ib], words[ic], words[id_]))
         expected_hits += brute_force_analogy(w, ia, ib, ic) == id_
     report = analogy_accuracy(w, questions, dictionary)
     assert report.value == pytest.approx(expected_hits / 20)
@@ -432,9 +429,9 @@ def test_analogy_matches_brute_force_across_query_chunks_with_ties():
         best = brute_force_analogy(w, ia, ib, ic)
         id_ = best if i % 2 else other  # half are right, so every 64-question chunk counts
         if i % 50 == 7:  # skipped questions shift the scored ones against the input order
-            questions.append(AnalogyQuestion(words[ia], words[ib], "nope", words[id_]))
+            questions.append((words[ia], words[ib], "nope", words[id_]))
             continue
-        questions.append(AnalogyQuestion(words[ia], words[ib], words[ic], words[id_]))
+        questions.append((words[ia], words[ib], words[ic], words[id_]))
         expected_hits += best == id_
     report = analogy_accuracy(w, questions, dictionary)
     assert (report.n_items, report.n_skipped) == (313, 7)
@@ -450,7 +447,7 @@ def test_analogy_excludes_question_words_from_search():
         ]
     )
     # target equals column qb exactly; qb is excluded so qd wins
-    report = analogy_accuracy(w, [AnalogyQuestion("qa", "qb", "qc", "qd")], dictionary)
+    report = analogy_accuracy(w, [("qa", "qb", "qc", "qd")], dictionary)
     assert report.value == 1.0
 
 
@@ -458,8 +455,8 @@ def test_analogy_skips_and_zero_norm():
     dictionary = make_dictionary(["aa", "bb", "cc", "dd"])
     w = np.ones((3, 4))
     questions = [
-        AnalogyQuestion("aa", "bb", "cc", "nope"),
-        AnalogyQuestion("zz", "bb", "cc", "dd"),
+        ("aa", "bb", "cc", "nope"),
+        ("zz", "bb", "cc", "dd"),
     ]
     report = analogy_accuracy(w, questions, dictionary)
     assert (report.n_items, report.n_skipped, report.value) == (0, 2, 0.0)
@@ -467,7 +464,24 @@ def test_analogy_skips_and_zero_norm():
     w_bad = w.copy()
     w_bad[:, 0] = 0.0
     with pytest.raises(ValueError, match="zero-norm embedding column"):
-        analogy_accuracy(w_bad, [AnalogyQuestion("aa", "bb", "cc", "dd")], dictionary)
+        analogy_accuracy(w_bad, [("aa", "bb", "cc", "dd")], dictionary)
+
+
+def test_analogy_holds_no_float64_copy_of_w_through_the_search():
+    """With E = 64 a 64-query chunk of cosines is as large as W in float64: the copy, then unit
+    columns and one chunk make the peak; holding the copy through the search adds a fourth."""
+    k = 4000
+    words = [f"w{j}" for j in range(k)]
+    rng = np.random.default_rng(36)
+    w = rng.standard_normal((64, k)).astype(np.float32)
+    questions = [tuple(rng.choice(words, 4, replace=False)) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        analogy_accuracy(w, questions, make_dictionary(words))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * w.size
 
 
 def test_spearman_matches_scipy():
@@ -479,15 +493,15 @@ def test_spearman_matches_scipy():
     for _ in range(30):
         i, j = rng.choice(15, size=2, replace=False)
         rating = float(rng.integers(0, 5))  # integer ratings force rank ties
-        pairs.append(SimilarityPair(words[i], words[j], rating))
+        pairs.append((words[i], words[j], rating))
     report = spearman_similarity(w, pairs, dictionary)
     cosines = [
-        float(w[:, dictionary.word_to_index[p.word1]] @ w[:, dictionary.word_to_index[p.word2]]
-              / (np.linalg.norm(w[:, dictionary.word_to_index[p.word1]])
-                 * np.linalg.norm(w[:, dictionary.word_to_index[p.word2]])))
+        float(w[:, dictionary.word_to_index[p[0]]] @ w[:, dictionary.word_to_index[p[1]]]
+              / (np.linalg.norm(w[:, dictionary.word_to_index[p[0]]])
+                 * np.linalg.norm(w[:, dictionary.word_to_index[p[1]]])))
         for p in pairs
     ]
-    expected = scipy.stats.spearmanr(cosines, [p.rating for p in pairs]).statistic
+    expected = scipy.stats.spearmanr(cosines, [p[2] for p in pairs]).statistic
     assert abs(report.value - expected) < 1e-12
     assert report.metric == "spearman_similarity"
 
@@ -499,17 +513,17 @@ def test_spearman_counts_zero_norm_pairs_as_cosine_zero():
     w = rng.standard_normal((5, 12))
     w[:, [0, 7]] = 0.0
     pairs = [
-        SimilarityPair(words[i], words[j], float(rng.integers(0, 6)))
+        (words[i], words[j], float(rng.integers(0, 6)))
         for i, j in (rng.choice(12, size=2, replace=False) for _ in range(40))
     ]
     cosines = []
     for p in pairs:
-        u = w[:, dictionary.word_to_index[p.word1]]
-        v = w[:, dictionary.word_to_index[p.word2]]
+        u = w[:, dictionary.word_to_index[p[0]]]
+        v = w[:, dictionary.word_to_index[p[1]]]
         norm = np.linalg.norm(u) * np.linalg.norm(v)
         cosines.append(float(u @ v / norm) if norm > 0 else 0.0)
     assert cosines.count(0.0) >= 2  # the zero columns take part, so their pairs tie at 0
-    expected = scipy.stats.spearmanr(cosines, [p.rating for p in pairs]).statistic
+    expected = scipy.stats.spearmanr(cosines, [p[2] for p in pairs]).statistic
     assert abs(spearman_similarity(w, pairs, dictionary).value - expected) < 1e-12
 
 
@@ -518,17 +532,17 @@ def test_spearman_extremes_and_constant():
     dictionary = make_dictionary(words)
     angles = np.array([0.0, 0.2, 0.5, 0.9, 1.3])
     w = np.vstack([np.cos(angles), np.sin(angles)])
-    pairs = [SimilarityPair("anchor", wd, 5.0 - i) for i, wd in enumerate(words[1:])]
+    pairs = [("anchor", wd, 5.0 - i) for i, wd in enumerate(words[1:])]
     assert spearman_similarity(w, pairs, dictionary).value == pytest.approx(1.0)
-    flipped = [SimilarityPair(p.word1, p.word2, -p.rating) for p in pairs]
+    flipped = [(p[0], p[1], -p[2]) for p in pairs]
     assert spearman_similarity(w, flipped, dictionary).value == pytest.approx(-1.0)
-    constant = [SimilarityPair(p.word1, p.word2, 3.0) for p in pairs]
+    constant = [(p[0], p[1], 3.0) for p in pairs]
     assert spearman_similarity(w, constant, dictionary).value == 0.0
 
 
 def test_spearman_needs_two_scorable_pairs():
     dictionary = make_dictionary(["aa", "bb"])
-    pairs = [SimilarityPair("aa", "bb", 1.0), SimilarityPair("aa", "zz", 2.0)]
+    pairs = [("aa", "bb", 1.0), ("aa", "zz", 2.0)]
     with pytest.raises(ValueError, match="fewer than 2 scorable pairs"):
         spearman_similarity(np.ones((2, 2)), pairs, dictionary)
 
@@ -537,8 +551,8 @@ def brute_force_translation(w, dictionary, pairs, direction, k):
     w2i = dictionary.word_to_index
     oriented = []
     for p in pairs:
-        if p.word1 in w2i and p.word2 in w2i:
-            oriented.append((p.word1, p.word2) if direction == "forward" else (p.word2, p.word1))
+        if p[0] in w2i and p[1] in w2i:
+            oriented.append((p[0], p[1]) if direction == "forward" else (p[1], p[0]))
     candidates = sorted({w2i[t] for _, t in oriented})
     hits = 0
     for src, tgt in oriented:
@@ -558,7 +572,7 @@ def test_translation_matches_brute_force():
     words = [f"src{i}" for i in range(8)] + [f"tgt{i}" for i in range(8)]
     dictionary = make_dictionary(words)
     w = rng.standard_normal((5, 16))
-    pairs = [TranslationPair(f"src{i}", f"tgt{i}") for i in range(8)]
+    pairs = [(f"src{i}", f"tgt{i}") for i in range(8)]
     for direction in ("forward", "reverse"):
         for k in (1, 3):
             report = translation_precision(w, pairs, dictionary, direction=direction, k=k)
@@ -576,10 +590,10 @@ def test_translation_matches_brute_force_across_query_chunks():
     w[:, 30 + 7] = w[:, 30 + 3]  # two tied target columns
     w[:, 5] = 0.0  # a zero-norm query (a zero-norm candidate in reverse)
     pairs = [
-        TranslationPair(f"src{i}", f"tgt{j}")
+        (f"src{i}", f"tgt{j}")
         for i, j in zip(rng.integers(0, 30, size=700), rng.integers(0, 40, size=700))
     ]
-    pairs += [TranslationPair("src5", "tgt3"), TranslationPair("src9", "tgt7")]
+    pairs += [("src5", "tgt3"), ("src9", "tgt7")]
     for direction in ("forward", "reverse"):
         for k in (1, 3, 50):
             report = translation_precision(w, pairs, dictionary, direction=direction, k=k)
@@ -597,7 +611,7 @@ def test_translation_restricts_ranking_to_candidates():
     )
     # "near" is the global nearest to qsrc but never appears on the target
     # side, so the ranking for qsrc is over {far, other} and far wins
-    pairs = [TranslationPair("qsrc", "far"), TranslationPair("xtra", "other")]
+    pairs = [("qsrc", "far"), ("xtra", "other")]
     report = translation_precision(w, pairs, dictionary, direction="forward", k=1)
     assert report.value == 1.0
 
@@ -608,7 +622,7 @@ def test_translation_restricts_ranking_to_candidates():
 def test_translation_ties_break_by_ascending_index():
     dictionary = make_dictionary(["query", "src2", "tgt_a", "tgt_b"])
     w = np.array([[1.0, 1.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]])  # targets identical
-    pairs = [TranslationPair("query", "tgt_b"), TranslationPair("src2", "tgt_a")]
+    pairs = [("query", "tgt_b"), ("src2", "tgt_a")]
     # every query ties between the two targets and tgt_a has the smaller
     # index, so only the tgt_a pair scores at k=1
     assert translation_precision(w, pairs, dictionary, k=1).value == 0.5
@@ -619,15 +633,15 @@ def test_translation_skips_and_errors():
     dictionary = make_dictionary(["aa", "bb"])
     w = np.ones((2, 2))
     report = translation_precision(
-        w, [TranslationPair("aa", "bb"), TranslationPair("aa", "zz")], dictionary
+        w, [("aa", "bb"), ("aa", "zz")], dictionary
     )
     assert (report.n_items, report.n_skipped) == (1, 1)
     with pytest.raises(ValueError, match="empty candidate set"):
-        translation_precision(w, [TranslationPair("xx", "yy")], dictionary)
+        translation_precision(w, [("xx", "yy")], dictionary)
     with pytest.raises(ValueError, match="direction must be"):
-        translation_precision(w, [TranslationPair("aa", "bb")], dictionary, direction="up")
+        translation_precision(w, [("aa", "bb")], dictionary, direction="up")
     with pytest.raises(ValueError, match="k must be positive"):
-        translation_precision(w, [TranslationPair("aa", "bb")], dictionary, k=0)
+        translation_precision(w, [("aa", "bb")], dictionary, k=0)
 
 
 def test_dump_embeddings_round_trip(tmp_path):
@@ -671,6 +685,22 @@ def test_dump_embeddings_matches_brute_force_across_chunks_with_ties(tmp_path, n
     for j, word in enumerate(words):
         sims = [float(unit[:, j] @ unit[:, m]) if m != j else -np.inf for m in range(150)]
         assert neighbors[word] == [words[t] for t in brute_force_top_k(sims, n_neighbors)]
+
+
+@pytest.mark.parametrize("dict_k, w_k", [(30, 20), (20, 30)])
+def test_word_evals_refuse_a_dictionary_whose_k_differs_from_w(dict_k, w_k):
+    """Every looked-up word is a column of W, so only the column count tells the mismatch."""
+    dictionary = make_dictionary([f"w{i}" for i in range(dict_k)])
+    w = np.random.default_rng(35).standard_normal((4, w_k))
+    calls = [
+        lambda: analogy_accuracy(w, [("w0", "w1", "w2", "w3")], dictionary),
+        lambda: spearman_similarity(w, [("w0", "w1", 1.0), ("w2", "w3", 2.0), ("w4", "w5", 0.5)], dictionary),
+        lambda: translation_precision(w, [("w0", "w1"), ("w2", "w3")], dictionary),
+        lambda: translation_precision(w, [("w0", "w1"), ("w2", "w3")], dictionary, direction="reverse"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"embedding count {w_k} differs from dictionary size {dict_k}"):
+            call()
 
 
 def test_dump_embeddings_validates_shape(tmp_path):

@@ -20,7 +20,8 @@ def test_artifact_digest_prints_one_line_of_digests():
     assert (result.pop("workload"), result.pop("seed")) == ("fc-k20", 2)
     for key in ("checkpoint", "trainlog lr", "trainlog val_error", "trainlog train_loss_mean",
                 "stdout build-dict", "stdout train", "stdout eval-words --k 1", "stdout eval-words --k 10",
-                "stdout eval-translate", "embeddings.csv", "embeddings_neighbors.json"):
+                "stdout eval-translate", "stdout eval-translate --direction reverse", "embeddings.csv",
+                "embeddings_neighbors.json"):
         assert key in result
     assert all(len(value) == 64 and int(value, 16) >= 0 for value in result.values())
 

@@ -6,9 +6,9 @@
 Builds the workload's inputs with perfbench/inputs.make_inputs in a temporary
 directory, then runs build-dict -> train -> eval-words (k 1 and 10) ->
 [eval-probe] -> eval-analogy -> eval-sim -> eval-translate (k 10) ->
-[dump-embeddings] once, as perfbench/run.py runs them, through
-weaklearn.cli.main from this tree's src/. Prints one JSON line of sha256
-digests: the checkpoint, the dictionary, the trainlog's lr, val_error and
+[dump-embeddings] once, as perfbench/run.py runs them, plus eval-translate
+--direction reverse (k 10), through weaklearn.cli.main from this tree's src/.
+Prints one JSON line of sha256 digests: the checkpoint, the dictionary, the trainlog's lr, val_error and
 train_loss_mean sequences, each command's stdout (with the temporary
 directory's path replaced by "<work>"), both dump-embeddings files and
 eval-probe's "selected lambda" stderr line. The stderr config lines hold
@@ -85,12 +85,14 @@ def digests(spec: dict, seed: int, work_dir: str) -> dict[str, str]:
                                     "--lambda-grid", spec["probe_lambda_grid"], "--seed", str(seed)])
         selected = [line for line in stderr.splitlines() if line.startswith("selected lambda")]
         out["stderr eval-probe selected lambda"] = sha256("\n".join(selected))
-    for command, flag, path, extra in (
-        ("eval-analogy", "--questions", inp.analogy_path, []),
-        ("eval-sim", "--pairs", inp.sim_path, []),
-        ("eval-translate", "--pairs", inp.translate_path, ["--k", "10"]),
+    translate = ["--pairs", inp.translate_path, "--k", "10"]
+    for label, extra in (
+        ("eval-analogy", ["--questions", inp.analogy_path]),
+        ("eval-sim", ["--pairs", inp.sim_path]),
+        ("eval-translate", translate),
+        ("eval-translate --direction reverse", [*translate, "--direction", "reverse"]),
     ):
-        run(command, [command, "--ckpt", ckpt, "--dict", dict_path, flag, path, *extra])
+        run(label, [label.split()[0], "--ckpt", ckpt, "--dict", dict_path, *extra])
     if spec["dump_embeddings"]:
         csv_path = os.path.join(run_dir, "embeddings.csv")
         run("dump-embeddings", ["dump-embeddings", "--ckpt", ckpt, "--dict", dict_path, "--out", csv_path])
